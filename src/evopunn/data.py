@@ -66,8 +66,8 @@ class ProcessedDataset:
     feature_names: list[str]
     class_names: list[str]
     normalization: NormalizationParams | None = None
-    _log_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _gather_cache: tuple | None = field(default=None, repr=False, compare=False)
+    _log_t_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _target_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def pattern_count(self) -> int:
@@ -82,25 +82,21 @@ class ProcessedDataset:
         return len(self.class_names)
 
     @property
-    def log_patterns(self) -> np.ndarray:
-        if self._log_cache is None:
-            self._log_cache = np.log(self.patterns)
-        return self._log_cache
+    def log_patterns_t(self) -> np.ndarray:
+        """log(patterns) transposed to a C-contiguous (k, N) matrix, the
+        layout of the pattern-major forward pass."""
+        if self._log_t_cache is None:
+            self._log_t_cache = np.ascontiguousarray(np.log(self.patterns).T)
+        return self._log_t_cache
 
     @property
-    def trainable_gather(self) -> tuple[np.ndarray, np.ndarray]:
-        """(row indices, column indices) of patterns whose class has a trainable
-        output node, i.e. every class but the zero-output reference class."""
-        if self._gather_cache is None:
-            rows = np.flatnonzero(self.labels < self.class_count - 1)
-            self._gather_cache = (rows, self.labels[rows])
-        return self._gather_cache
-
-    @property
-    def one_hot(self) -> np.ndarray:
-        targets = np.zeros((self.pattern_count, self.class_count))
-        targets[np.arange(self.pattern_count), self.labels] = 1.0
-        return targets
+    def target_index(self) -> np.ndarray:
+        """Flat index of each pattern's true-class entry in a C-ordered
+        (L, N) matrix of class outputs: label * N + pattern index."""
+        if self._target_cache is None:
+            n = self.pattern_count
+            self._target_cache = self.labels * n + np.arange(n)
+        return self._target_cache
 
 
 def load_schema(path) -> list[ColumnSpec]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -244,21 +245,27 @@ def _add_node(net: PunnNetwork, rng: np.random.Generator, params: EaParams) -> P
     )
 
 
+def _keep_nodes(net: PunnNetwork, keep: np.ndarray) -> PunnNetwork:
+    """Child holding the hidden nodes where the boolean mask keep is True."""
+    return PunnNetwork(
+        net.input_count,
+        net.class_count,
+        net.exponents[keep],
+        net.exponent_mask[keep],
+        net.coefficients[:, keep],
+        net.coefficient_mask[:, keep],
+        net.biases.copy(),
+    )
+
+
 def _delete_node(net: PunnNetwork, rng: np.random.Generator, params: EaParams) -> PunnNetwork:
     wanted = _draw_count(rng, params)
     removable = min(wanted, net.hidden_count - 1)  # a network keeps at least one node
     if removable <= 0:
         return net
-    victims = rng.choice(net.hidden_count, size=removable, replace=False)
-    return PunnNetwork(
-        net.input_count,
-        net.class_count,
-        np.delete(net.exponents, victims, axis=0),
-        np.delete(net.exponent_mask, victims, axis=0),
-        np.delete(net.coefficients, victims, axis=1),
-        np.delete(net.coefficient_mask, victims, axis=1),
-        net.biases.copy(),
-    )
+    keep = np.ones(net.hidden_count, dtype=bool)
+    keep[rng.choice(net.hidden_count, size=removable, replace=False)] = False
+    return _keep_nodes(net, keep)
 
 
 def _link_pool(net: PunnNetwork, existing: bool) -> np.ndarray:
@@ -272,43 +279,33 @@ def _link_pool(net: PunnNetwork, existing: bool) -> np.ndarray:
     ])
 
 
-def _add_connection(net: PunnNetwork, rng: np.random.Generator, params: EaParams) -> PunnNetwork:
+def _edit_connections(
+    net: PunnNetwork, rng: np.random.Generator, params: EaParams, existing: bool
+) -> PunnNetwork:
+    """Delete existing connections (existing=True) or add absent ones with
+    weights uniform in the weight interval (existing=False). The links are
+    drawn without replacement from both layers' pool; an empty pool is a
+    no-op."""
     wanted = _draw_count(rng, params)
-    pool = _link_pool(net, existing=False)
+    pool = _link_pool(net, existing)
     if pool.size == 0:
         return net
-    lo, hi = params.weight_interval
-    picks = rng.choice(pool, size=min(wanted, pool.size), replace=False)
+    picks = pool[rng.choice(pool.size, size=min(wanted, pool.size), replace=False)]
+    if existing:
+        weights = np.zeros(picks.size)
+    else:
+        lo, hi = params.weight_interval
+        weights = rng.uniform(lo, hi, picks.size)
     out = net.clone()
     split = out.exponent_mask.size
-    for flat in picks:
-        flat = int(flat)
-        weight = rng.uniform(lo, hi)
-        if flat < split:
-            out.exponents.flat[flat] = weight
-            out.exponent_mask.flat[flat] = True
-        else:
-            out.coefficients.flat[flat - split] = weight
-            out.coefficient_mask.flat[flat - split] = True
-    return out
-
-
-def _delete_connection(net: PunnNetwork, rng: np.random.Generator, params: EaParams) -> PunnNetwork:
-    wanted = _draw_count(rng, params)
-    pool = _link_pool(net, existing=True)
-    if pool.size == 0:
-        return net
-    picks = rng.choice(pool, size=min(wanted, pool.size), replace=False)
-    out = net.clone()
-    split = out.exponent_mask.size
-    for flat in picks:
-        flat = int(flat)
-        if flat < split:
-            out.exponents.flat[flat] = 0.0
-            out.exponent_mask.flat[flat] = False
-        else:
-            out.coefficients.flat[flat - split] = 0.0
-            out.coefficient_mask.flat[flat - split] = False
+    in_exponents = picks < split
+    in_coefficients = ~in_exponents
+    exp_flat = picks[in_exponents]
+    coef_flat = picks[in_coefficients] - split
+    out.exponents.flat[exp_flat] = weights[in_exponents]
+    out.exponent_mask.flat[exp_flat] = not existing
+    out.coefficients.flat[coef_flat] = weights[in_coefficients]
+    out.coefficient_mask.flat[coef_flat] = not existing
     return out
 
 
@@ -319,45 +316,38 @@ def _fuse_nodes(net: PunnNetwork, rng: np.random.Generator, params: EaParams) ->
     a, b = (int(v) for v in rng.choice(net.hidden_count, size=2, replace=False))
     keep, drop = min(a, b), max(a, b)
 
-    exponents = np.zeros(net.input_count)
-    mask = np.zeros(net.input_count, dtype=bool)
-    for i in range(net.input_count):
-        in_a = net.exponent_mask[a, i]
-        in_b = net.exponent_mask[b, i]
-        if in_a and in_b:
-            mask[i] = True
-            exponents[i] = 0.5 * (net.exponents[a, i] + net.exponents[b, i])
-        elif in_a or in_b:
-            if rng.random() < 0.5:  # a connection held by one parent survives half the time
-                mask[i] = True
-                exponents[i] = net.exponents[a, i] if in_a else net.exponents[b, i]
+    in_a = net.exponent_mask[a]
+    in_b = net.exponent_mask[b]
+    both = in_a & in_b
+    single = in_a ^ in_b
+    mask = both.copy()
+    # a connection held by one parent survives half the time, one draw per
+    # such input in index order
+    mask[single] = rng.random(np.count_nonzero(single)) < 0.5
+    row_a = net.exponents[a]
+    row_b = net.exponents[b]
+    exponents = np.where(both, 0.5 * (row_a + row_b), np.where(in_a, row_a, row_b))
+    exponents[~mask] = 0.0
 
-    coefficients = np.zeros(net.output_count)
     coef_mask = net.coefficient_mask[:, a] | net.coefficient_mask[:, b]
     summed = net.coefficients[:, a] + net.coefficients[:, b]
-    coefficients[coef_mask] = np.clip(summed[coef_mask], lo, hi)
+    coefficients = np.where(coef_mask, np.clip(summed, lo, hi), 0.0)
 
-    out = net.clone()
+    nodes = np.ones(net.hidden_count, dtype=bool)
+    nodes[drop] = False
+    out = _keep_nodes(net, nodes)  # drop > keep, so keep's row index is unchanged
     out.exponents[keep] = exponents
     out.exponent_mask[keep] = mask
     out.coefficients[:, keep] = coefficients
     out.coefficient_mask[:, keep] = coef_mask
-    return PunnNetwork(
-        out.input_count,
-        out.class_count,
-        np.delete(out.exponents, drop, axis=0),
-        np.delete(out.exponent_mask, drop, axis=0),
-        np.delete(out.coefficients, drop, axis=1),
-        np.delete(out.coefficient_mask, drop, axis=1),
-        out.biases,
-    )
+    return out
 
 
 _OPERATORS = {
     "add_node": _add_node,
     "delete_node": _delete_node,
-    "add_connection": _add_connection,
-    "delete_connection": _delete_connection,
+    "add_connection": partial(_edit_connections, existing=False),
+    "delete_connection": partial(_edit_connections, existing=True),
     "fuse_nodes": _fuse_nodes,
 }
 

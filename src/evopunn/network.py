@@ -8,6 +8,13 @@ Class probabilities come from a softmax over the L outputs.
 Representation: dense (m, k) exponent and (L-1, m) coefficient matrices with
 boolean masks marking which connections exist. Entries whose mask is False
 are kept at exactly 0.0 so the forward pass needs no masking.
+
+Layout of the batch forward pass: pattern-major. The dataset caches its log
+patterns transposed, as a C-contiguous (k, N) matrix, so one network's class
+outputs over all N patterns come out as an (L, N) matrix whose rows are
+contiguous: the L-1 trainable outputs C @ exp(E @ log(X)^T) + b, then the
+reference class's row of zeros. Every reduction over classes is then an
+elementwise ufunc over whole rows.
 """
 
 from __future__ import annotations
@@ -104,11 +111,17 @@ def evaluate_outputs(net: PunnNetwork, pattern) -> np.ndarray:
     return net.coefficients @ hidden + net.biases
 
 
-def batch_outputs(net: PunnNetwork, log_patterns: np.ndarray) -> np.ndarray:
-    """Outputs for all patterns at once; takes pre-logged patterns (N, k)."""
-    hidden = np.exp(log_patterns @ net.exponents.T)
-    outputs = hidden @ net.coefficients.T
-    outputs += net.biases
+def class_outputs(net: PunnNetwork, dataset) -> np.ndarray:
+    """(L, N) outputs of every class for every pattern of a processed dataset.
+
+    Row c < L-1 holds trainable output c, computed pattern-major as
+    C @ exp(E @ log(X)^T) + b; the last row is the reference class's zero.
+    """
+    hidden = net.exponents @ dataset.log_patterns_t
+    np.exp(hidden, out=hidden)
+    outputs = np.zeros((net.class_count, dataset.pattern_count))
+    np.matmul(net.coefficients, hidden, out=outputs[:-1])
+    outputs[:-1] += net.biases[:, None]
     return outputs
 
 
@@ -135,12 +148,12 @@ def predict_class(net: PunnNetwork, pattern) -> int:
 
 
 def predict_classes(net: PunnNetwork, dataset) -> np.ndarray:
-    """Predicted class index per pattern of a processed dataset."""
+    """Predicted class index per pattern of a processed dataset; ties resolve
+    to the lowest index."""
     _check_compatible(net, dataset)
     with np.errstate(over="ignore", invalid="ignore"):
-        outputs = batch_outputs(net, dataset.log_patterns)
-    full = np.concatenate([outputs, np.zeros((outputs.shape[0], 1))], axis=1)
-    return np.argmax(full, axis=1)
+        outputs = class_outputs(net, dataset)
+    return np.argmax(outputs, axis=0)
 
 
 def _check_compatible(net: PunnNetwork, dataset) -> None:
@@ -159,17 +172,24 @@ def _check_compatible(net: PunnNetwork, dataset) -> None:
 def cross_entropy_error(net: PunnNetwork, dataset) -> float:
     """Mean cross-entropy of the softmax distribution over the dataset.
 
-    Computed in the numerically stable log-sum-exp form
-    mean_i(logsumexp(f(x_i)) - f_{y_i}(x_i)) with the reference output at 0,
-    which is algebraically identical to -mean_i(log g_{y_i}(x_i)).
+    Computed as mean_i(lse_i - f_{y_i}(x_i)), which is algebraically
+    identical to -mean_i(log g_{y_i}(x_i)), with the max-shifted
+    log-sum-exp lse_i = m_i + log(sum_c exp(f_c(x_i) - m_i)) over all L
+    outputs (the reference output included at 0) and
+    m_i = max(0, f_1(x_i), ..., f_{L-1}(x_i)). The largest term of the sum
+    is exactly 1, so lse_i >= m_i >= f_{y_i}(x_i) and the error is never
+    negative. Outputs that overflow make it non-finite.
     """
     _check_compatible(net, dataset)
     with np.errstate(over="ignore", invalid="ignore"):
-        f = batch_outputs(net, dataset.log_patterns)
-        lse = np.logaddexp.reduce(f, axis=1)
-        np.logaddexp(lse, 0.0, out=lse)  # fold in the reference class's zero output
-        rows, cols = dataset.trainable_gather
-        lse[rows] -= f[rows, cols]
+        f = class_outputs(net, dataset)
+        target = np.take(f, dataset.target_index)
+        shift = np.maximum.reduce(f, axis=0)
+        f -= shift
+        np.exp(f, out=f)
+        lse = np.log(np.add.reduce(f, axis=0))
+        lse += shift
+        lse -= target
         return float(lse.mean())
 
 
@@ -182,7 +202,7 @@ def fitness(net: PunnNetwork, dataset) -> float:
     err = cross_entropy_error(net, dataset)
     if not np.isfinite(err):
         return 0.0
-    return 1.0 / (1.0 + max(err, 0.0))
+    return 1.0 / (1.0 + err)
 
 
 def correct_classification_rate(net: PunnNetwork, dataset) -> float:

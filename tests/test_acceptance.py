@@ -97,11 +97,13 @@ def run_cell(dataset, config_id, published, tolerance, label):
 
 
 class TestCriterion2Accuracy:
+    @pytest.mark.slow
     def test_balance_cell(self, tmp_path):
         csv_path, schema_path = write_balance_scale(tmp_path)
         dataset = e.preprocess_file(csv_path, schema_path)
         run_cell(dataset, "1star", published=96.20, tolerance=3.0, label="balance")
 
+    @pytest.mark.slow
     def test_pima_cell(self, tmp_path):
         prepared = uci_data.prepare_pima(tmp_path)
         if prepared is None:
@@ -113,6 +115,7 @@ class TestCriterion2Accuracy:
         assert dataset.pattern_count == 768 and dataset.input_count == 8
         run_cell(dataset, "1star", published=78.63, tolerance=3.0, label="pima")
 
+    @pytest.mark.slow
     def test_cancer_cell(self, tmp_path):
         prepared = uci_data.prepare_cancer(tmp_path)
         if prepared is None:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from evopunn import evolution
 from evopunn.evolution import (
     EaParams,
     EvalCounter,
@@ -18,6 +20,7 @@ from evopunn.evolution import (
     temperature,
 )
 from evopunn.network import (
+    PunnNetwork,
     count_connections,
     fitness,
     random_network,
@@ -269,6 +272,170 @@ class TestStructuralOperators:
         params = EaParams(gen=1, max_hidden=3, structural_ops=())
         out = structural_mutation(self.ind_for(net), rng, params)
         assert out is net
+
+
+# Reference copies of the structural operators as they were written before
+# the mask-algebra rewrite: per-pick and per-input Python loops with one
+# scalar draw each, clone plus np.delete for the child. The rewrite must give
+# bit-identical children and leave the generator in the same state.
+
+def _reference_delete_node(net, rng, params):
+    lo, hi = params.node_op_count_range
+    wanted = int(rng.integers(lo, hi + 1))
+    removable = min(wanted, net.hidden_count - 1)
+    if removable <= 0:
+        return net
+    victims = rng.choice(net.hidden_count, size=removable, replace=False)
+    return PunnNetwork(
+        net.input_count,
+        net.class_count,
+        np.delete(net.exponents, victims, axis=0),
+        np.delete(net.exponent_mask, victims, axis=0),
+        np.delete(net.coefficients, victims, axis=1),
+        np.delete(net.coefficient_mask, victims, axis=1),
+        net.biases.copy(),
+    )
+
+
+def _reference_link_pool(net, existing):
+    exp_mask = net.exponent_mask if existing else ~net.exponent_mask
+    coef_mask = net.coefficient_mask if existing else ~net.coefficient_mask
+    return np.concatenate([
+        np.flatnonzero(exp_mask.ravel()),
+        np.flatnonzero(coef_mask.ravel()) + exp_mask.size,
+    ])
+
+
+def _reference_add_connection(net, rng, params):
+    lo_n, hi_n = params.node_op_count_range
+    wanted = int(rng.integers(lo_n, hi_n + 1))
+    pool = _reference_link_pool(net, existing=False)
+    if pool.size == 0:
+        return net
+    lo, hi = params.weight_interval
+    picks = rng.choice(pool, size=min(wanted, pool.size), replace=False)
+    out = net.clone()
+    split = out.exponent_mask.size
+    for flat in picks:
+        flat = int(flat)
+        weight = rng.uniform(lo, hi)
+        if flat < split:
+            out.exponents.flat[flat] = weight
+            out.exponent_mask.flat[flat] = True
+        else:
+            out.coefficients.flat[flat - split] = weight
+            out.coefficient_mask.flat[flat - split] = True
+    return out
+
+
+def _reference_delete_connection(net, rng, params):
+    lo_n, hi_n = params.node_op_count_range
+    wanted = int(rng.integers(lo_n, hi_n + 1))
+    pool = _reference_link_pool(net, existing=True)
+    if pool.size == 0:
+        return net
+    picks = rng.choice(pool, size=min(wanted, pool.size), replace=False)
+    out = net.clone()
+    split = out.exponent_mask.size
+    for flat in picks:
+        flat = int(flat)
+        if flat < split:
+            out.exponents.flat[flat] = 0.0
+            out.exponent_mask.flat[flat] = False
+        else:
+            out.coefficients.flat[flat - split] = 0.0
+            out.coefficient_mask.flat[flat - split] = False
+    return out
+
+
+def _reference_fuse_nodes(net, rng, params):
+    if net.hidden_count < 2:
+        return net
+    lo, hi = params.weight_interval
+    a, b = (int(v) for v in rng.choice(net.hidden_count, size=2, replace=False))
+    keep, drop = min(a, b), max(a, b)
+    exponents = np.zeros(net.input_count)
+    mask = np.zeros(net.input_count, dtype=bool)
+    for i in range(net.input_count):
+        in_a = net.exponent_mask[a, i]
+        in_b = net.exponent_mask[b, i]
+        if in_a and in_b:
+            mask[i] = True
+            exponents[i] = 0.5 * (net.exponents[a, i] + net.exponents[b, i])
+        elif in_a or in_b:
+            if rng.random() < 0.5:
+                mask[i] = True
+                exponents[i] = net.exponents[a, i] if in_a else net.exponents[b, i]
+    coefficients = np.zeros(net.output_count)
+    coef_mask = net.coefficient_mask[:, a] | net.coefficient_mask[:, b]
+    summed = net.coefficients[:, a] + net.coefficients[:, b]
+    coefficients[coef_mask] = np.clip(summed[coef_mask], lo, hi)
+    out = net.clone()
+    out.exponents[keep] = exponents
+    out.exponent_mask[keep] = mask
+    out.coefficients[:, keep] = coefficients
+    out.coefficient_mask[:, keep] = coef_mask
+    return PunnNetwork(
+        out.input_count,
+        out.class_count,
+        np.delete(out.exponents, drop, axis=0),
+        np.delete(out.exponent_mask, drop, axis=0),
+        np.delete(out.coefficients, drop, axis=1),
+        np.delete(out.coefficient_mask, drop, axis=1),
+        out.biases,
+    )
+
+
+REFERENCE_OPERATORS = {
+    "delete_node": _reference_delete_node,
+    "add_connection": _reference_add_connection,
+    "delete_connection": _reference_delete_connection,
+    "fuse_nodes": _reference_fuse_nodes,
+}
+
+NET_ARRAYS = ("exponents", "exponent_mask", "coefficients", "coefficient_mask", "biases")
+
+
+class TestOperatorsMatchReference:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        op=st.sampled_from(sorted(REFERENCE_OPERATORS)),
+        net_seed=st.integers(0, 2**32 - 1),
+        op_seed=st.integers(0, 2**32 - 1),
+        input_count=st.sampled_from([1, 2, 4, 9, 40]),
+        class_count=st.integers(2, 5),
+        max_hidden=st.integers(1, 6),
+        link_density=st.sampled_from([0.1, 0.5, 1.0]),
+        coefficient_density=st.sampled_from([0.0, 0.5, 1.0]),
+        most=st.integers(1, 6),
+    )
+    def test_bit_identical_child_and_generator_state(
+        self, op, net_seed, op_seed, input_count, class_count, max_hidden,
+        link_density, coefficient_density, most,
+    ):
+        net_rng = np.random.default_rng(net_seed)
+        net = random_network(net_rng, input_count, max_hidden, class_count,
+                             link_density=link_density)
+        # thin the output layer too, so both pools span both layers
+        dropped = net_rng.random(net.coefficients.shape) >= coefficient_density
+        net.coefficients[dropped] = 0.0
+        net.coefficient_mask[dropped] = False
+        before = {name: getattr(net, name).copy() for name in NET_ARRAYS}
+        params = EaParams(gen=1, max_hidden=max_hidden, node_op_count_range=(1, most))
+
+        expected_rng = np.random.default_rng(op_seed)
+        got_rng = np.random.default_rng(op_seed)
+        expected = REFERENCE_OPERATORS[op](net, expected_rng, params)
+        got = evolution._OPERATORS[op](net, got_rng, params)
+
+        assert (got is net) == (expected is net)
+        for name in NET_ARRAYS:
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), name
+            assert np.array_equal(getattr(net, name), before[name])  # parent untouched
+        assert got_rng.bit_generator.state == expected_rng.bit_generator.state
+        assert got_rng.random() == expected_rng.random()
 
 
 class TestGenerationSplit:

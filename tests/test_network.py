@@ -6,6 +6,7 @@ import pytest
 
 from evopunn.network import (
     PunnNetwork,
+    class_outputs,
     class_probabilities,
     correct_classification_rate,
     count_connections,
@@ -15,6 +16,7 @@ from evopunn.network import (
     fitness,
     network_document,
     predict_class,
+    predict_classes,
     random_network,
     serialize_network,
 )
@@ -152,6 +154,63 @@ class TestCrossEntropy:
             assert cross_entropy_error(net, ds) == pytest.approx(
                 hand_cross_entropy(net, ds), abs=1e-9
             )
+
+
+class TestPatternMajorKernel:
+    """The batch kernel against the per-pattern oracle (evaluate_outputs and
+    class_probabilities), at binary, 3-class and 5-class widths."""
+
+    @pytest.mark.parametrize("class_count", [2, 3, 5])
+    def test_matches_per_pattern_oracle(self, rng, class_count):
+        for _ in range(100):
+            k = int(rng.integers(1, 6))
+            net = random_network(rng, k, 4, class_count, weight_interval=(-1.5, 1.5))
+            ds = random_dataset(rng, n=int(rng.integers(class_count, 40)), k=k,
+                                class_count=class_count)
+            outputs = class_outputs(net, ds)
+            assert outputs.shape == (class_count, ds.pattern_count)
+            assert np.all(outputs[-1] == 0.0)
+            oracle_error = 0.0
+            for i, (pattern, label) in enumerate(zip(ds.patterns, ds.labels)):
+                f = evaluate_outputs(net, pattern)
+                np.testing.assert_allclose(outputs[:-1, i], f, rtol=1e-12, atol=1e-12)
+                oracle_error -= math.log(class_probabilities(f)[label])
+            oracle_error /= ds.pattern_count
+            assert cross_entropy_error(net, ds) == pytest.approx(oracle_error, rel=1e-12)
+            assert np.array_equal(
+                predict_classes(net, ds), [predict_class(net, x) for x in ds.patterns]
+            )
+
+    def test_error_never_negative(self, rng):
+        # full weight interval: margins are often large enough for a
+        # pattern's error to round to zero, never below it
+        for _ in range(300):
+            k = int(rng.integers(1, 6))
+            class_count = int(rng.integers(2, 6))
+            net = random_network(rng, k, 4, class_count)
+            ds = random_dataset(rng, n=12, k=k, class_count=class_count)
+            assert cross_entropy_error(net, ds) >= 0.0
+
+    def test_overflow_gives_fitness_zero(self):
+        # 2 ** 2000 overflows the hidden unit, so the outputs are infinite
+        net = build_net(1, 3, [{0: 2000.0}], [(0.0, {0: 1.0}), (0.0, {0: -1.0})])
+        ds = make_dataset([[2.0], [1.5]], [0, 2], 3)
+        assert not np.isfinite(cross_entropy_error(net, ds))
+        assert fitness(net, ds) == 0.0
+
+    def test_true_class_at_minus_infinity_gives_fitness_zero(self):
+        net = build_net(1, 2, [{0: 2000.0}], [(0.0, {0: -1.0})])
+        ds = make_dataset([[2.0]], [0], 2)
+        assert fitness(net, ds) == 0.0
+
+    def test_ties_resolve_to_lowest_index(self):
+        # all outputs equal: every pattern goes to class 0
+        flat = build_net(1, 3, [{}], [(0.0, {}), (0.0, {})])
+        ds = make_dataset([[1.2], [1.7], [1.9]], [0, 1, 2], 3)
+        assert predict_classes(flat, ds).tolist() == [0, 0, 0]
+        # class 1 ties with the reference class: the lower index wins
+        tied = build_net(1, 3, [{}], [(-1.0, {}), (0.0, {})])
+        assert predict_classes(tied, ds).tolist() == [1, 1, 1]
 
 
 class TestFitness:
