@@ -1,71 +1,25 @@
 """Evolutionary training of product-unit neural network classifiers."""
 
-from .data import (
-    ColumnSpec,
-    NormalizationParams,
-    ProcessedDataset,
-    RawDataset,
-    encode_nominal,
-    fit_apply_normalization,
-    impute_missing,
-    load_dataset,
-    load_schema,
-    load_table,
-    preprocess,
-    preprocess_file,
-    save_dataset,
-    stratified_holdout,
-)
-from .errors import DataError, ParseError, SchemaError, StratificationError
+from .data import preprocess_file, stratified_holdout
 from .evolution import (
     EaParams,
     EvalCounter,
     Individual,
     MutationState,
-    adapt_variances,
-    evaluate_individual,
     evolve_generation,
-    generation_split,
     initialize_population,
-    parametric_mutation,
     run_evolution,
-    sort_population,
     structural_mutation,
-    temperature,
 )
-from .experiment import (
-    CONFIGURATIONS,
-    PRESETS,
-    ExperimentConfig,
-    RunRecord,
-    Summary,
-    make_config,
-    run_experiment,
-    run_single,
-    summarize,
-    write_report,
-)
+from .experiment import make_config, run_experiment, summarize
 from .network import (
-    PunnNetwork,
-    WEIGHT_INTERVAL,
     class_probabilities,
-    correct_classification_rate,
     count_connections,
     cross_entropy_error,
-    deserialize_network,
     evaluate_outputs,
-    fitness,
-    predict_class,
-    predict_classes,
     random_network,
     serialize_network,
 )
-from .twostage import (
-    TseaParams,
-    TwoStageHistory,
-    expected_evaluations,
-    merge_populations,
-    run_two_stage,
-)
+from .twostage import expected_evaluations, run_two_stage
 
 __version__ = "0.1.0"

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from . import datasets
 from .data import load_dataset, preprocess_file, save_dataset, stratified_holdout
+from .evolution import population_mean_fitness
 from .experiment import (
     CONFIGURATIONS,
     PRESETS,
@@ -55,7 +56,6 @@ def _add_split(sub):
 
 def _add_train(sub):
     p = sub.add_parser("train", help="single seeded training run")
-    p.add_argument("--method", required=True, choices=["edd", "tsea"])
     p.add_argument("--config", required=True, choices=sorted(CONFIGURATIONS))
     p.add_argument("--preset", choices=sorted(PRESETS))
     p.add_argument("--neu", type=int, help="hidden-node base count (overrides preset)")
@@ -109,14 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_method_config(method: str, config_id: str) -> None:
-    expected, _, _ = CONFIGURATIONS[config_id]
-    if expected != method:
-        raise SystemExit(
-            f"configuration {config_id!r} belongs to method {expected!r}, not {method!r}"
-        )
-
-
 def _cmd_gendata(args) -> int:
     generate = datasets.GENERATORS[args.preset]
     if args.preset == "waveform":
@@ -161,7 +153,7 @@ def _make_trace_writer(path, train):
     def on_generation(stage, gen_index, population, counter):
         lines_written[0] += 1
         best = population[0]
-        mean = sum(ind.fitness for ind in population) / len(population)
+        mean = population_mean_fitness(population)
         ccr = correct_classification_rate(best.net, train)
         fh.write(
             f"{lines_written[0]}\t{best.fitness:.10g}\t{mean:.10g}"
@@ -172,7 +164,6 @@ def _make_trace_writer(path, train):
 
 
 def _cmd_train(args) -> int:
-    _check_method_config(args.method, args.config)
     config = make_config(
         args.config, preset=args.preset, neu=args.neu, gen=args.gen,
         n_runs=1, master_seed=args.seed, pop_size=args.pop_size,

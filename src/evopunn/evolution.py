@@ -36,6 +36,7 @@ STRUCTURAL_OPS = (
 ALPHA_MIN = 1e-4
 ALPHA_MAX = 5.0
 ONE_FIFTH_FACTOR = 0.9
+IMPROVEMENT_EPSILON = 1e-9  # a gain this small does not reset the stall counter
 
 
 @dataclass
@@ -49,7 +50,6 @@ class EaParams:
     weight_interval: tuple[float, float] = WEIGHT_INTERVAL
     node_op_count_range: tuple[int, int] = (1, 2)
     link_density: float = 0.5
-    improvement_epsilon: float = 1e-9
     structural_ops: tuple[str, ...] = STRUCTURAL_OPS
 
     def validate(self) -> None:
@@ -79,7 +79,6 @@ class MutationState:
     successes: int = 0
     attempts: int = 0
     alpha_min: float = ALPHA_MIN
-    alpha_max: float = ALPHA_MAX
 
 
 class EvalCounter:
@@ -209,8 +208,8 @@ def adapt_variances(state: MutationState) -> None:
         factor = ONE_FIFTH_FACTOR
     else:
         factor = 1.0
-    state.alpha1 = min(max(state.alpha1 * factor, state.alpha_min), state.alpha_max)
-    state.alpha2 = min(max(state.alpha2 * factor, state.alpha_min), state.alpha_max)
+    state.alpha1 = min(max(state.alpha1 * factor, state.alpha_min), ALPHA_MAX)
+    state.alpha2 = min(max(state.alpha2 * factor, state.alpha_min), ALPHA_MAX)
     state.successes = 0
     state.attempts = 0
 
@@ -424,11 +423,16 @@ def run_evolution(
     counter: EvalCounter,
     early_stopping: bool = True,
     on_generation=None,
+    stage: str = "run",
 ) -> tuple[list[Individual], int]:
     """Main loop: evolve until the generation budget runs out or, when early
     stopping is on, until neither the best fitness nor the population mean
-    fitness has beaten its historical maximum by more than the improvement
-    epsilon for gen_without_improving consecutive generations.
+    fitness has beaten its historical maximum by more than
+    IMPROVEMENT_EPSILON for gen_without_improving consecutive generations.
+
+    After each generation, on_generation (if given) is called as
+    on_generation(stage, gen_index, population, counter), with gen_index
+    counting from 1 within this call and population sorted best first.
 
     Returns (final population, generations executed); the best individual is
     the first element of the returned population.
@@ -442,13 +446,13 @@ def run_evolution(
         executed = gen_index
         best = population[0].fitness
         mean = population_mean_fitness(population)
-        eps = params.improvement_epsilon
-        improved = best > best_high + eps or mean > mean_high + eps
+        improved = (best > best_high + IMPROVEMENT_EPSILON
+                    or mean > mean_high + IMPROVEMENT_EPSILON)
         best_high = max(best_high, best)
         mean_high = max(mean_high, mean)
         stalled = 0 if improved else stalled + 1
         if on_generation is not None:
-            on_generation(gen_index, population, counter)
+            on_generation(stage, gen_index, population, counter)
         if early_stopping and stalled >= params.gen_without_improving:
             break
     return population, executed

@@ -20,7 +20,7 @@ from .evolution import (
     run_evolution,
 )
 from .network import correct_classification_rate
-from .twostage import TseaParams, run_two_stage
+from .twostage import run_two_stage
 
 
 @dataclass(frozen=True)
@@ -81,11 +81,6 @@ class ExperimentConfig:
             gen=self.gen, max_hidden=cap, pop_size=self.pop_size, alpha2=self.alpha2
         )
 
-    def tsea_params(self) -> TseaParams:
-        if self.method != "tsea":
-            raise ValueError("not a two-stage configuration")
-        return TseaParams(self.ea_params())
-
 
 def make_config(
     config_id: str,
@@ -144,21 +139,18 @@ def run_single(
     """One seeded training run; measures accuracy of the best individual."""
     rng = np.random.default_rng(seed)
     counter = EvalCounter()
+    params = config.ea_params()
     started = time.perf_counter()
     if config.method == "tsea":
         best, counter, history = run_two_stage(
-            config.tsea_params(), rng, train, counter, on_generation=on_generation
+            params, rng, train, counter, on_generation=on_generation
         )
         generations = history.total_generations
     else:
-        params = config.ea_params()
         population = initialize_population(rng, params, train, counter)
         state = MutationState(params.alpha1, params.alpha2)
-        callback = None
-        if on_generation is not None:
-            callback = lambda g, pop, c: on_generation("run", g, pop, c)
         population, generations = run_evolution(
-            population, state, rng, params, train, counter, on_generation=callback
+            population, state, rng, params, train, counter, on_generation=on_generation
         )
         best = population[0]
     elapsed = time.perf_counter() - started

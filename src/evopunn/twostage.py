@@ -3,9 +3,12 @@
 Stage one builds and briefly evolves two independent populations whose
 networks differ in their hidden-node cap (neu and neu + 1), with no early
 stopping. The best half of each is merged into a single population that the
-standard loop then evolves to completion under the larger cap. Also provides
-the closed-form evaluation accounting that compares this schedule against a
-pair of independent full-length runs.
+standard loop then evolves to completion under the larger cap. Every
+generation of every stage reaches the caller's callback through
+run_evolution as on_generation(stage, gen_index, population, counter), with
+stage "stage1-a", "stage1-b" or "stage2". Also provides the closed-form
+evaluation accounting that compares this schedule against a pair of
+independent full-length runs.
 """
 
 from __future__ import annotations
@@ -26,26 +29,6 @@ from .evolution import (
 
 STAGE_A = "stage1-a"
 STAGE_B = "stage1-b"
-
-
-@dataclass
-class TseaParams:
-    """The embedded EaParams.max_hidden is the smaller cap (neu); the second
-    stage-one population and all of stage two run at neu + 1."""
-    ea: EaParams
-
-    @property
-    def neu(self) -> int:
-        return self.ea.max_hidden
-
-    @property
-    def stage1_generations(self) -> int:
-        return self.ea.gen // 10
-
-    def validate(self) -> None:
-        self.ea.validate()
-        if self.ea.pop_size % 2:
-            raise ValueError("pop_size must be even (the merge takes half of each population)")
 
 
 @dataclass
@@ -78,13 +61,14 @@ def merge_populations(
 
 
 def run_two_stage(
-    params: TseaParams,
+    params: EaParams,
     rng: np.random.Generator,
     train,
     counter: EvalCounter | None = None,
     on_generation=None,
 ) -> tuple[Individual, EvalCounter, TwoStageHistory]:
-    """Full two-stage run.
+    """Full two-stage run. params.max_hidden is the smaller cap, neu; the
+    second stage-one population and all of stage two run at neu + 1.
 
     Three independent substreams are derived from the caller's generator (one
     per stage-one population, one for stage two), so the stage-one runs could
@@ -93,45 +77,35 @@ def run_two_stage(
     with early stopping to the merged population, without re-initialization.
     """
     params.validate()
+    if params.pop_size % 2:
+        raise ValueError("pop_size must be even (the merge takes half of each population)")
     counter = counter if counter is not None else EvalCounter()
     rng_a, rng_b, rng_stage2 = rng.spawn(3)
-    stage1 = params.stage1_generations
+    neu = params.max_hidden
+    stage1 = params.gen // 10
 
     halves = []
-    for cap, stream, label in (
-        (params.neu, rng_a, STAGE_A),
-        (params.neu + 1, rng_b, STAGE_B),
-    ):
-        stage_params = replace(params.ea, max_hidden=cap, gen=stage1)
+    for cap, stream, label in ((neu, rng_a, STAGE_A), (neu + 1, rng_b, STAGE_B)):
+        stage_params = replace(params, max_hidden=cap, gen=stage1)
         population = initialize_population(stream, stage_params, train, counter)
         state = MutationState(stage_params.alpha1, stage_params.alpha2)
         population, _ = run_evolution(
             population, state, stream, stage_params, train, counter,
-            early_stopping=False,
-            on_generation=_staged_callback(on_generation, label),
+            early_stopping=False, on_generation=on_generation, stage=label,
         )
         halves.append(population)
 
     merged = merge_populations(halves[0], halves[1])
     history = TwoStageHistory(stage1, list(merged))
 
-    stage2_params = replace(params.ea, max_hidden=params.neu + 1)
+    stage2_params = replace(params, max_hidden=neu + 1)
     state = MutationState(stage2_params.alpha1, stage2_params.alpha2)
     final_population, executed = run_evolution(
         merged, state, rng_stage2, stage2_params, train, counter,
-        early_stopping=True,
-        on_generation=_staged_callback(on_generation, "stage2"),
+        early_stopping=True, on_generation=on_generation, stage="stage2",
     )
     history.stage2_generations = executed
     return final_population[0], counter, history
-
-
-def _staged_callback(on_generation, stage: str):
-    if on_generation is None:
-        return None
-    return lambda gen_index, population, counter: on_generation(
-        stage, gen_index, population, counter
-    )
 
 
 def expected_evaluations(pop_size: int, gen: int) -> dict[str, int | float]:

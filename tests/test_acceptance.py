@@ -65,9 +65,9 @@ class TestCriterion1Accounting:
 
     def test_instrumented_two_stage_matches_closed_form(self, rng):
         train = small_train(rng)
-        params = e.TseaParams(e.EaParams(
+        params = e.EaParams(
             gen=10, max_hidden=2, pop_size=1000, gen_without_improving=10_000,
-        ))
+        )
         with criterion("1b (instrumented run matches closed form)"):
             best, counter, history = e.run_two_stage(
                 params, np.random.default_rng(MASTER_SEED), train
@@ -281,7 +281,7 @@ class TestCriterion4Properties:
 
             two_stage = []
             for _ in range(2):
-                params = e.TseaParams(e.EaParams(gen=10, max_hidden=2, pop_size=10))
+                params = e.EaParams(gen=10, max_hidden=2, pop_size=10)
                 best, counter, _ = e.run_two_stage(
                     params, np.random.default_rng(424242), train
                 )
@@ -315,7 +315,7 @@ class TestCriterion5MergeStructure:
     def test_merged_population_structure_full_size(self, rng):
         train = small_train(rng)
         neu = 2
-        params = e.TseaParams(e.EaParams(gen=10, max_hidden=neu, pop_size=1000))
+        params = e.EaParams(gen=10, max_hidden=neu, pop_size=1000)
         with criterion("5 (merged population structure at N=1000)"):
             best, counter, history = e.run_two_stage(
                 params, np.random.default_rng(MASTER_SEED), train

@@ -65,7 +65,7 @@ class TestTrainAndPredict:
         model = tmp_path / "model.json"
         trace = tmp_path / "trace.tsv"
         code = main([
-            "train", "--method", "edd", "--config", "1",
+            "train", "--config", "1",
             "--neu", "2", "--gen", "3",
             "--train", str(balance_splits / "train.dat"),
             "--test", str(balance_splits / "test.dat"),
@@ -85,26 +85,17 @@ class TestTrainAndPredict:
             fields = line.split("\t")
             assert len(fields) == 5
 
-    def test_train_rejects_method_config_mismatch(self, balance_splits, tmp_path):
-        with pytest.raises(SystemExit):
-            main([
-                "train", "--method", "edd", "--config", "1star",
-                "--neu", "2", "--gen", "3",
-                "--train", str(balance_splits / "train.dat"),
-                "--test", str(balance_splits / "test.dat"),
-                "--seed", "42", "--model-out", str(tmp_path / "m.json"),
-            ])
-
     def test_two_stage_train_and_predict(self, balance_splits, tmp_path, capsys):
         model = tmp_path / "model.json"
         main([
-            "train", "--method", "tsea", "--config", "1star",
+            "train", "--config", "1star",
             "--neu", "2", "--gen", "10",
             "--train", str(balance_splits / "train.dat"),
             "--test", str(balance_splits / "test.dat"),
             "--seed", "7", "--model-out", str(model), "--pop-size", "10",
         ])
         capsys.readouterr()
+        assert json.loads(model.read_text())["max_hidden"] == 2 + 1  # stage two's cap
         main(["predict", "--model", str(model), "--data", str(balance_splits / "test.dat")])
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 156 + 1  # one class per row plus the accuracy line
@@ -115,7 +106,7 @@ class TestTrainAndPredict:
         texts = []
         for name in ("a.json", "b.json"):
             main([
-                "train", "--method", "edd", "--config", "1",
+                "train", "--config", "1",
                 "--neu", "2", "--gen", "4",
                 "--train", str(balance_splits / "train.dat"),
                 "--test", str(balance_splits / "test.dat"),

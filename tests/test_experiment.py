@@ -39,11 +39,6 @@ class TestPresets:
             assert (preset.hidden_nodes, preset.generations) == (neu, gen), name
             assert preset.available
 
-    def test_stage1_lengths(self):
-        for name, (neu, gen) in PUBLISHED_BUDGETS.items():
-            config = make_config("1star", preset=name)
-            assert config.tsea_params().stage1_generations == gen // 10
-
     def test_proprietary_presets_disabled(self):
         for name in ("btx", "listeria"):
             assert not PRESETS[name].available
@@ -77,11 +72,11 @@ class TestConfigurations:
     @pytest.mark.parametrize("cid,alpha2", [("1star", 1.0), ("2star", 1.5)])
     def test_two_stage_configurations(self, cid, alpha2):
         config = make_config(cid, preset="pima")
-        tsea = config.tsea_params()
-        assert tsea.neu == 3  # stage-two cap is neu + 1 inside the runner
-        assert tsea.ea.alpha2 == alpha2
-        assert tsea.ea.pop_size == 1000
-        assert tsea.stage1_generations == 12
+        params = config.ea_params()
+        assert params.max_hidden == 3  # stage-two cap is neu + 1 inside the runner
+        assert params.alpha2 == alpha2
+        assert params.gen == 120
+        assert params.pop_size == 1000
 
     def test_explicit_budget_overrides(self):
         config = make_config("1star", neu=2, gen=30, pop_size=10)
@@ -134,6 +129,39 @@ class TestRunExperiment:
         for seed in (1, 2):
             config = self.small_config(runs=2, seed=seed)
             assert len(run_experiment(config, toy_train, toy_train)) == 2
+
+
+class TestGenerationCallback:
+    """run_single reports every generation as (stage, gen_index, population,
+    counter), whichever method the configuration selects."""
+
+    def run_logged(self, config_id, train):
+        config = make_config(config_id, neu=2, gen=20, n_runs=1, pop_size=10)
+        events = []
+
+        def log(stage, gen_index, population, counter):
+            assert len(population) == 10
+            events.append((stage, gen_index, counter.total))
+
+        record, _ = run_single(config, train, train, seed=4, on_generation=log)
+        return record, events
+
+    def test_two_stage_events(self, toy_train):
+        record, events = self.run_logged("1star", toy_train)
+        n = record.generations - 4  # stage one runs gen // 10 = 2 per population
+        assert n >= 1
+        assert [(stage, g) for stage, g, _ in events] == (
+            [("stage1-a", 1), ("stage1-a", 2), ("stage1-b", 1), ("stage1-b", 2)]
+            + [("stage2", g) for g in range(1, n + 1)]
+        )
+        assert events[-1][2] == record.evaluations
+
+    def test_single_run_events(self, toy_train):
+        record, events = self.run_logged("1", toy_train)
+        assert [(stage, g) for stage, g, _ in events] == [
+            ("run", g) for g in range(1, record.generations + 1)
+        ]
+        assert events[-1][2] == record.evaluations
 
 
 def record(i, ccr_test, connections=10):

@@ -3,18 +3,14 @@ import pytest
 
 from evopunn.evolution import EaParams, EvalCounter, Individual, MutationState, initialize_population, run_evolution
 from evopunn.network import count_connections, random_network, serialize_network
-from evopunn.twostage import (
-    TseaParams,
-    expected_evaluations,
-    merge_populations,
-    run_two_stage,
-)
+from evopunn.twostage import expected_evaluations, merge_populations, run_two_stage
 
 from conftest import make_dataset
 
 
-def tsea_params(train, pop_size=10, gen=10, neu=2, **overrides):
-    return TseaParams(EaParams(gen=gen, max_hidden=neu, pop_size=pop_size, **overrides))
+def two_stage_params(pop_size=10, gen=10, neu=2, **overrides):
+    """Two-stage runs take the smaller hidden-node cap, neu, as max_hidden."""
+    return EaParams(gen=gen, max_hidden=neu, pop_size=pop_size, **overrides)
 
 
 class TestExpectedEvaluations:
@@ -77,12 +73,12 @@ class TestMerge:
 
 class TestRunTwoStage:
     def test_odd_population_rejected(self, toy_train):
-        params = tsea_params(toy_train, pop_size=5)
+        params = two_stage_params(pop_size=5)
         with pytest.raises(ValueError, match="even"):
             run_two_stage(params, np.random.default_rng(0), toy_train)
 
     def test_merged_population_structure(self, rng, toy_train):
-        params = tsea_params(toy_train, pop_size=10, gen=20, neu=2)
+        params = two_stage_params(pop_size=10, gen=20, neu=2)
         best, counter, history = run_two_stage(params, rng, toy_train)
         merged = history.merged_population
         assert len(merged) == 10
@@ -91,18 +87,17 @@ class TestRunTwoStage:
         fits = [ind.fitness for ind in merged]
         assert fits == sorted(fits, reverse=True)
         for ind in merged:
-            assert ind.net.hidden_count <= params.neu + 1
+            assert ind.net.hidden_count <= params.max_hidden + 1
 
     def test_stage1_length(self, toy_train):
-        params = tsea_params(toy_train, gen=20)
-        assert params.stage1_generations == 2
-        assert tsea_params(toy_train, gen=150).stage1_generations == 15
-        assert tsea_params(toy_train, gen=500).stage1_generations == 50
+        params = two_stage_params(gen=20)
+        _, _, history = run_two_stage(params, np.random.default_rng(3), toy_train)
+        assert history.stage1_generations == 2
 
     def test_counter_matches_closed_form(self, toy_train):
         # early stopping only exists in stage 2; disable it via a huge window
-        params = tsea_params(toy_train, pop_size=10, gen=10, neu=2,
-                             gen_without_improving=10_000)
+        params = two_stage_params(pop_size=10, gen=10, neu=2,
+                                  gen_without_improving=10_000)
         best, counter, history = run_two_stage(params, np.random.default_rng(5), toy_train)
         expected = expected_evaluations(10, 10)["tsea"]
         assert counter.total == expected == 2 * (100 + 9 * 1) + 9 * 10
@@ -121,7 +116,7 @@ class TestRunTwoStage:
     def test_deterministic(self, toy_train):
         outcomes = []
         for _ in range(2):
-            params = tsea_params(toy_train, pop_size=10, gen=10, neu=2)
+            params = two_stage_params(pop_size=10, gen=10, neu=2)
             best, counter, history = run_two_stage(
                 params, np.random.default_rng(77), toy_train
             )
@@ -129,6 +124,6 @@ class TestRunTwoStage:
         assert outcomes[0] == outcomes[1]
 
     def test_best_at_least_as_good_as_merge(self, rng, toy_train):
-        params = tsea_params(toy_train, pop_size=10, gen=15, neu=2)
+        params = two_stage_params(pop_size=10, gen=15, neu=2)
         best, _, history = run_two_stage(params, rng, toy_train)
         assert best.fitness >= history.merged_population[0].fitness - 1e-15
