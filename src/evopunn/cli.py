@@ -29,6 +29,7 @@ from .network import (
     predict_classes,
     serialize_network,
 )
+from .twostage import expected_evaluations, final_hidden_cap
 
 
 def _add_gendata(sub):
@@ -184,9 +185,12 @@ def _cmd_train(args) -> int:
         if trace_fh is not None:
             trace_fh.close()
 
+    max_hidden = config.ea_params().max_hidden
+    if config.method == "tsea":
+        max_hidden = final_hidden_cap(max_hidden)
     model_text = serialize_network(
         best.net,
-        max_hidden=config.ea_params().max_hidden + (1 if config.method == "tsea" else 0),
+        max_hidden=max_hidden,
         class_names=train.class_names,
         feature_names=train.feature_names,
     )
@@ -219,8 +223,6 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_evals(args) -> int:
-    from .twostage import expected_evaluations
-
     counts = expected_evaluations(args.pop, args.gen)
     print("tsea\tedd\treduction_percent")
     print(f"{counts['tsea']}\t{counts['edd_pair']}\t{counts['reduction_percent']}")

@@ -376,6 +376,8 @@ def save_dataset(dataset: ProcessedDataset, path) -> None:
 
 
 def load_dataset(path) -> ProcessedDataset:
+    """Read a file written by save_dataset. A malformed file, or a pattern
+    value that is not finite and strictly positive, raises ParseError."""
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or not lines[0].startswith(DATASET_FORMAT):
@@ -425,4 +427,11 @@ def load_dataset(path) -> ProcessedDataset:
         labels[r] = int(cells[k])
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= class_count:
         raise ParseError(f"{path}: label index out of range")
+    # product units take the log of every input: outside (0, inf) it is NaN or -inf
+    outside = ~(np.isfinite(patterns) & (patterns > 0.0)).all(axis=1)
+    if outside.any():
+        raise ParseError(
+            f"{path}: data row {int(np.argmax(outside))} has a value that is not "
+            "finite and strictly positive"
+        )
     return ProcessedDataset(patterns, labels, feature_names, class_names, normalization)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .network import (
     count_connections,
     fitness,
     random_network,
-    random_node_links,
 )
 
 STRUCTURAL_OPS = (
@@ -171,19 +170,26 @@ def parametric_mutation(
     sigma1 = math.sqrt(state.alpha1 * t)
     sigma2 = math.sqrt(state.alpha2 * t)
     net = ind.net
-    exponents = net.exponents + rng.normal(0.0, sigma1, net.exponents.shape) * net.exponent_mask
-    coefficients = (
-        net.coefficients + rng.normal(0.0, sigma2, net.coefficients.shape) * net.coefficient_mask
-    )
-    biases = net.biases + rng.normal(0.0, sigma2, net.biases.shape)
+    # noise first, then mask, add and clip in place: the same three draws and,
+    # addition being commutative, the same bits as parent + noise * mask
+    exponents = rng.normal(0.0, sigma1, net.exponents.shape)
+    exponents *= net.exponent_mask
+    exponents += net.exponents
+    coefficients = rng.normal(0.0, sigma2, net.coefficients.shape)
+    coefficients *= net.coefficient_mask
+    coefficients += net.coefficients
+    biases = rng.normal(0.0, sigma2, net.biases.shape)
+    biases += net.biases
+    for arr in (exponents, coefficients, biases):
+        np.clip(arr, lo, hi, out=arr)
     candidate_net = PunnNetwork(
         net.input_count,
         net.class_count,
-        np.clip(exponents, lo, hi),
+        exponents,
         net.exponent_mask.copy(),
-        np.clip(coefficients, lo, hi),
+        coefficients,
         net.coefficient_mask.copy(),
-        np.clip(biases, lo, hi),
+        biases,
     )
     candidate = evaluate_individual(candidate_net, train, counter, ind.origin)
     state.attempts += 1
@@ -220,39 +226,53 @@ def _draw_count(rng: np.random.Generator, params: EaParams) -> int:
 
 
 def _add_node(net: PunnNetwork, rng: np.random.Generator, params: EaParams) -> PunnNetwork:
+    """Append up to the drawn count of nodes, as room under the cap allows.
+
+    Each new node's input connections exist independently with probability
+    link_density (an all-absent draw is redone, so every node has an input)
+    and their exponents are drawn straight into the node's row; then one
+    draw gives every output a coefficient to every new node."""
     wanted = _draw_count(rng, params)
     room = params.max_hidden - net.hidden_count
     add = min(wanted, room)
     if add <= 0:
         return net
     lo, hi = params.weight_interval
-    new_exponents = []
-    new_masks = []
-    for _ in range(add):
-        row, mask = random_node_links(rng, net.input_count, params.weight_interval, params.link_density)
-        new_exponents.append(row)
-        new_masks.append(mask)
-    new_coefficients = rng.uniform(lo, hi, (net.output_count, add))
+    m, k = net.exponents.shape
+    exponents = np.zeros((m + add, k))
+    exponent_mask = np.zeros((m + add, k), dtype=bool)
+    exponents[:m] = net.exponents
+    exponent_mask[:m] = net.exponent_mask
+    for row in range(m, m + add):
+        mask = rng.random(k) < params.link_density
+        links = np.count_nonzero(mask)
+        while not links:
+            mask = rng.random(k) < params.link_density
+            links = np.count_nonzero(mask)
+        exponent_mask[row] = mask
+        exponents[row, mask] = rng.uniform(lo, hi, links)
+    coefficients = np.empty((net.output_count, m + add))
+    coefficient_mask = np.empty((net.output_count, m + add), dtype=bool)
+    coefficients[:, :m] = net.coefficients
+    coefficient_mask[:, :m] = net.coefficient_mask
+    coefficients[:, m:] = rng.uniform(lo, hi, (net.output_count, add))
+    coefficient_mask[:, m:] = True
     return PunnNetwork(
-        net.input_count,
-        net.class_count,
-        np.vstack([net.exponents, new_exponents]),
-        np.vstack([net.exponent_mask, new_masks]),
-        np.hstack([net.coefficients, new_coefficients]),
-        np.hstack([net.coefficient_mask, np.ones((net.output_count, add), dtype=bool)]),
-        net.biases.copy(),
+        net.input_count, net.class_count, exponents, exponent_mask,
+        coefficients, coefficient_mask, net.biases.copy(),
     )
 
 
 def _keep_nodes(net: PunnNetwork, keep: np.ndarray) -> PunnNetwork:
     """Child holding the hidden nodes where the boolean mask keep is True."""
+    kept = keep.nonzero()[0]  # take on indices costs less than boolean indexing
     return PunnNetwork(
         net.input_count,
         net.class_count,
-        net.exponents[keep],
-        net.exponent_mask[keep],
-        net.coefficients[:, keep],
-        net.coefficient_mask[:, keep],
+        net.exponents.take(kept, axis=0),
+        net.exponent_mask.take(kept, axis=0),
+        net.coefficients.take(kept, axis=1),
+        net.coefficient_mask.take(kept, axis=1),
         net.biases.copy(),
     )
 
@@ -267,45 +287,41 @@ def _delete_node(net: PunnNetwork, rng: np.random.Generator, params: EaParams) -
     return _keep_nodes(net, keep)
 
 
-def _link_pool(net: PunnNetwork, existing: bool) -> np.ndarray:
-    """Flat indices over both connection layers in a fixed scan order: values
-    below exponent_mask.size address that matrix, the rest the coefficients."""
-    exp_mask = net.exponent_mask if existing else ~net.exponent_mask
-    coef_mask = net.coefficient_mask if existing else ~net.coefficient_mask
-    return np.concatenate([
-        np.flatnonzero(exp_mask.ravel()),
-        np.flatnonzero(coef_mask.ravel()) + exp_mask.size,
-    ])
-
-
 def _edit_connections(
     net: PunnNetwork, rng: np.random.Generator, params: EaParams, existing: bool
 ) -> PunnNetwork:
     """Delete existing connections (existing=True) or add absent ones with
     weights uniform in the weight interval (existing=False). The links are
     drawn without replacement from both layers' pool; an empty pool is a
-    no-op."""
+    no-op.
+
+    Both layers are edited as one flat buffer each for masks and weights,
+    the exponents then the coefficients in C order, which fixes the order of
+    the pool; the child's four arrays are reshaped slices of the two."""
     wanted = _draw_count(rng, params)
-    pool = _link_pool(net, existing)
+    links = np.concatenate((net.exponent_mask.ravel(), net.coefficient_mask.ravel()))
+    pool = (links if existing else ~links).nonzero()[0]
     if pool.size == 0:
         return net
     picks = pool[rng.choice(pool.size, size=min(wanted, pool.size), replace=False)]
+    weights = np.concatenate((net.exponents.ravel(), net.coefficients.ravel()))
     if existing:
-        weights = np.zeros(picks.size)
+        weights[picks] = 0.0
     else:
         lo, hi = params.weight_interval
-        weights = rng.uniform(lo, hi, picks.size)
-    out = net.clone()
-    split = out.exponent_mask.size
-    in_exponents = picks < split
-    in_coefficients = ~in_exponents
-    exp_flat = picks[in_exponents]
-    coef_flat = picks[in_coefficients] - split
-    out.exponents.flat[exp_flat] = weights[in_exponents]
-    out.exponent_mask.flat[exp_flat] = not existing
-    out.coefficients.flat[coef_flat] = weights[in_coefficients]
-    out.coefficient_mask.flat[coef_flat] = not existing
-    return out
+        weights[picks] = rng.uniform(lo, hi, picks.size)
+    links[picks] = not existing
+    split = net.exponent_mask.size
+    m, k = net.exponent_mask.shape
+    return PunnNetwork(
+        net.input_count,
+        net.class_count,
+        weights[:split].reshape(m, k),
+        links[:split].reshape(m, k),
+        weights[split:].reshape(net.output_count, m),
+        links[split:].reshape(net.output_count, m),
+        net.biases.copy(),
+    )
 
 
 def _fuse_nodes(net: PunnNetwork, rng: np.random.Generator, params: EaParams) -> PunnNetwork:
@@ -351,6 +367,12 @@ _OPERATORS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _operator_sequence(names: tuple[str, ...]) -> tuple:
+    """The operators named, in order; resolved once per structural_ops value."""
+    return tuple(_OPERATORS[name] for name in names)
+
+
 def structural_mutation(
     ind: Individual, rng: np.random.Generator, params: EaParams
 ) -> PunnNetwork:
@@ -358,7 +380,7 @@ def structural_mutation(
     each firing independently with probability T; if none fired, one is chosen
     uniformly and applied. Degenerate cases (size bound hit, nothing to add or
     remove) are explicit no-ops. Returns a network the caller must re-score."""
-    ops = [_OPERATORS[name] for name in params.structural_ops]
+    ops = _operator_sequence(params.structural_ops)
     if not ops:
         return ind.net
     t = temperature(ind)

@@ -20,6 +20,7 @@ elementwise ufunc over whole rows.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,7 +179,8 @@ def cross_entropy_error(net: PunnNetwork, dataset) -> float:
     outputs (the reference output included at 0) and
     m_i = max(0, f_1(x_i), ..., f_{L-1}(x_i)). The largest term of the sum
     is exactly 1, so lse_i >= m_i >= f_{y_i}(x_i) and the error is never
-    negative. Outputs that overflow make it non-finite.
+    negative. Outputs that overflow make it non-finite. The mean is the
+    pairwise sum over patterns divided by N, as ndarray.mean computes it.
     """
     _check_compatible(net, dataset)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -190,7 +192,7 @@ def cross_entropy_error(net: PunnNetwork, dataset) -> float:
         lse = np.log(np.add.reduce(f, axis=0))
         lse += shift
         lse -= target
-        return float(lse.mean())
+        return float(np.add.reduce(lse)) / dataset.pattern_count
 
 
 def fitness(net: PunnNetwork, dataset) -> float:
@@ -200,7 +202,7 @@ def fitness(net: PunnNetwork, dataset) -> float:
     the limit of the formula for unbounded error.
     """
     err = cross_entropy_error(net, dataset)
-    if not np.isfinite(err):
+    if not math.isfinite(err):
         return 0.0
     return 1.0 / (1.0 + err)
 
@@ -213,27 +215,8 @@ def correct_classification_rate(net: PunnNetwork, dataset) -> float:
 
 def count_connections(net: PunnNetwork) -> int:
     """Existing input->hidden plus hidden->output connections plus the L-1 biases."""
-    return int(net.exponent_mask.sum()) + int(net.coefficient_mask.sum()) + net.output_count
-
-
-def random_node_links(
-    rng: np.random.Generator,
-    input_count: int,
-    weight_interval: tuple[float, float],
-    link_density: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One hidden node's (exponent row, mask row).
-
-    Each input connection exists independently with probability link_density;
-    an all-absent draw is redone so every new node has at least one input.
-    """
-    lo, hi = weight_interval
-    mask = rng.random(input_count) < link_density
-    while not mask.any():
-        mask = rng.random(input_count) < link_density
-    exponents = np.zeros(input_count)
-    exponents[mask] = rng.uniform(lo, hi, int(mask.sum()))
-    return exponents, mask
+    links = np.count_nonzero(net.exponent_mask) + np.count_nonzero(net.coefficient_mask)
+    return int(links) + net.output_count
 
 
 def random_network(
@@ -262,7 +245,7 @@ def random_network(
     m = int(rng.integers(1, max_hidden + 1))
     exponent_mask = rng.random((m, input_count)) < link_density
     empty = np.flatnonzero(~exponent_mask.any(axis=1))
-    while empty.size:  # same per-node redraw rule as random_node_links
+    while empty.size:  # same per-node redraw rule as evolution._add_node
         exponent_mask[empty] = rng.random((empty.size, input_count)) < link_density
         empty = np.flatnonzero(~exponent_mask.any(axis=1))
     exponents = np.zeros((m, input_count))

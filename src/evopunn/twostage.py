@@ -42,6 +42,12 @@ class TwoStageHistory:
         return 2 * self.stage1_generations + self.stage2_generations
 
 
+def final_hidden_cap(neu: int) -> int:
+    """Hidden-node cap of the second stage-one population and of stage two,
+    and so of the network a two-stage run returns."""
+    return neu + 1
+
+
 def merge_populations(
     pop_a: list[Individual], pop_b: list[Individual]
 ) -> list[Individual]:
@@ -68,7 +74,8 @@ def run_two_stage(
     on_generation=None,
 ) -> tuple[Individual, EvalCounter, TwoStageHistory]:
     """Full two-stage run. params.max_hidden is the smaller cap, neu; the
-    second stage-one population and all of stage two run at neu + 1.
+    second stage-one population and all of stage two run at
+    final_hidden_cap(neu), neu + 1.
 
     Three independent substreams are derived from the caller's generator (one
     per stage-one population, one for stage two), so the stage-one runs could
@@ -82,10 +89,11 @@ def run_two_stage(
     counter = counter if counter is not None else EvalCounter()
     rng_a, rng_b, rng_stage2 = rng.spawn(3)
     neu = params.max_hidden
+    final_cap = final_hidden_cap(neu)
     stage1 = params.gen // 10
 
     halves = []
-    for cap, stream, label in ((neu, rng_a, STAGE_A), (neu + 1, rng_b, STAGE_B)):
+    for cap, stream, label in ((neu, rng_a, STAGE_A), (final_cap, rng_b, STAGE_B)):
         stage_params = replace(params, max_hidden=cap, gen=stage1)
         population = initialize_population(stream, stage_params, train, counter)
         state = MutationState(stage_params.alpha1, stage_params.alpha2)
@@ -98,7 +106,7 @@ def run_two_stage(
     merged = merge_populations(halves[0], halves[1])
     history = TwoStageHistory(stage1, list(merged))
 
-    stage2_params = replace(params, max_hidden=neu + 1)
+    stage2_params = replace(params, max_hidden=final_cap)
     state = MutationState(stage2_params.alpha1, stage2_params.alpha2)
     final_population, executed = run_evolution(
         merged, state, rng_stage2, stage2_params, train, counter,

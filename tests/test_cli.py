@@ -6,6 +6,7 @@ import pytest
 
 from evopunn.cli import main
 from evopunn.data import load_dataset
+from evopunn.twostage import final_hidden_cap
 
 
 @pytest.fixture
@@ -95,7 +96,8 @@ class TestTrainAndPredict:
             "--seed", "7", "--model-out", str(model), "--pop-size", "10",
         ])
         capsys.readouterr()
-        assert json.loads(model.read_text())["max_hidden"] == 2 + 1  # stage two's cap
+        # the saved model records stage two's cap
+        assert json.loads(model.read_text())["max_hidden"] == final_hidden_cap(2)
         main(["predict", "--model", str(model), "--data", str(balance_splits / "test.dat")])
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 156 + 1  # one class per row plus the accuracy line

@@ -273,3 +273,18 @@ class TestDatasetFile:
         path = write(tmp_path, "bad.dat", "not a dataset\n")
         with pytest.raises(ParseError):
             load_dataset(path)
+
+    DAT_HEADER = "punn-dataset 1\nk 2\nL 2\nN 3\nfeatures a,b\nclasses no,yes\ndata\n"
+
+    def test_reads_a_hand_written_file(self, tmp_path):
+        path = write(tmp_path, "ok.dat", self.DAT_HEADER + "1.0,2.0,0\n1.5,1e-300,1\n2.0,1.25,1\n")
+        loaded = load_dataset(path)
+        assert loaded.patterns.tolist() == [[1.0, 2.0], [1.5, 1e-300], [2.0, 1.25]]
+        assert loaded.labels.tolist() == [0, 1, 1]
+
+    @pytest.mark.parametrize("value", ["0.0", "-0.0", "-1.5", "nan", "inf", "-inf"])
+    def test_rejects_values_outside_the_log_domain(self, tmp_path, value):
+        rows = f"1.0,2.0,0\n1.5,{value},1\n2.0,1.25,1\n"
+        path = write(tmp_path, "bad.dat", self.DAT_HEADER + rows)
+        with pytest.raises(ParseError, match="row 1 .*finite and strictly positive"):
+            load_dataset(path)

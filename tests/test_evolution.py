@@ -275,9 +275,46 @@ class TestStructuralOperators:
 
 
 # Reference copies of the structural operators as they were written before
-# the mask-algebra rewrite: per-pick and per-input Python loops with one
-# scalar draw each, clone plus np.delete for the child. The rewrite must give
-# bit-identical children and leave the generator in the same state.
+# they were rewritten for speed: per-pick and per-input Python loops with one
+# scalar draw each, clone plus np.delete for the child, vstack/hstack of the
+# new nodes' rows. The rewrites must give bit-identical children and leave
+# the generator in the same state.
+
+def _reference_node_links(rng, input_count, weight_interval, link_density):
+    lo, hi = weight_interval
+    mask = rng.random(input_count) < link_density
+    while not mask.any():
+        mask = rng.random(input_count) < link_density
+    exponents = np.zeros(input_count)
+    exponents[mask] = rng.uniform(lo, hi, int(mask.sum()))
+    return exponents, mask
+
+
+def _reference_add_node(net, rng, params):
+    lo_n, hi_n = params.node_op_count_range
+    wanted = int(rng.integers(lo_n, hi_n + 1))
+    add = min(wanted, params.max_hidden - net.hidden_count)
+    if add <= 0:
+        return net
+    lo, hi = params.weight_interval
+    new_exponents = []
+    new_masks = []
+    for _ in range(add):
+        row, mask = _reference_node_links(rng, net.input_count, params.weight_interval,
+                                          params.link_density)
+        new_exponents.append(row)
+        new_masks.append(mask)
+    new_coefficients = rng.uniform(lo, hi, (net.output_count, add))
+    return PunnNetwork(
+        net.input_count,
+        net.class_count,
+        np.vstack([net.exponents, new_exponents]),
+        np.vstack([net.exponent_mask, new_masks]),
+        np.hstack([net.coefficients, new_coefficients]),
+        np.hstack([net.coefficient_mask, np.ones((net.output_count, add), dtype=bool)]),
+        net.biases.copy(),
+    )
+
 
 def _reference_delete_node(net, rng, params):
     lo, hi = params.node_op_count_range
@@ -387,6 +424,7 @@ def _reference_fuse_nodes(net, rng, params):
 
 
 REFERENCE_OPERATORS = {
+    "add_node": _reference_add_node,
     "delete_node": _reference_delete_node,
     "add_connection": _reference_add_connection,
     "delete_connection": _reference_delete_connection,
@@ -408,10 +446,11 @@ class TestOperatorsMatchReference:
         link_density=st.sampled_from([0.1, 0.5, 1.0]),
         coefficient_density=st.sampled_from([0.0, 0.5, 1.0]),
         most=st.integers(1, 6),
+        room=st.integers(0, 3),
     )
     def test_bit_identical_child_and_generator_state(
         self, op, net_seed, op_seed, input_count, class_count, max_hidden,
-        link_density, coefficient_density, most,
+        link_density, coefficient_density, most, room,
     ):
         net_rng = np.random.default_rng(net_seed)
         net = random_network(net_rng, input_count, max_hidden, class_count,
@@ -421,7 +460,9 @@ class TestOperatorsMatchReference:
         net.coefficients[dropped] = 0.0
         net.coefficient_mask[dropped] = False
         before = {name: getattr(net, name).copy() for name in NET_ARRAYS}
-        params = EaParams(gen=1, max_hidden=max_hidden, node_op_count_range=(1, most))
+        # room > 0 leaves add_node space above the largest network drawn
+        params = EaParams(gen=1, max_hidden=max_hidden + room, node_op_count_range=(1, most),
+                          link_density=link_density)
 
         expected_rng = np.random.default_rng(op_seed)
         got_rng = np.random.default_rng(op_seed)

@@ -164,6 +164,23 @@ class TestGenerationCallback:
         assert events[-1][2] == record.evaluations
 
 
+class TestGoldenRun:
+    """A fixed seed gives a fixed run. Any change to the order in which the
+    generator is consumed, or to the bits of a fitness value, moves these
+    figures; such a change must re-run the balance cell and then update them.
+    They hold for numpy 2.4 with its bundled OpenBLAS on x86-64."""
+
+    @pytest.mark.parametrize("config_id, evaluations, generations, best_hex", [
+        ("1star", 1264, 48, "0x1.ffff51abe476bp-1"),
+        ("1", 920, 40, "0x1.ffd82cbac788ep-1"),
+    ])
+    def test_pinned_outcome(self, toy_train, config_id, evaluations, generations, best_hex):
+        config = make_config(config_id, neu=3, gen=40, n_runs=1, pop_size=20)
+        record, best = run_single(config, toy_train, toy_train, seed=11)
+        assert (record.evaluations, record.generations) == (evaluations, generations)
+        assert best.fitness.hex() == best_hex
+
+
 def record(i, ccr_test, connections=10):
     return RunRecord(i, 100 + i, 75.0, ccr_test, connections, 1000, 5, 0.25)
 

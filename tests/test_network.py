@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evopunn.network import (
     PunnNetwork,
@@ -275,6 +276,77 @@ class TestConnections:
         for _ in range(200):
             net = random_network(rng, 8, 4, 2)
             assert count_connections(net) <= bound
+
+
+# Reference copies of the scoring code as it was before its per-call overhead
+# was trimmed: ndarray.mean for the error, np.isfinite in fitness,
+# ndarray.sum over the masks. The forward pass is copied too, so the test pins
+# every bit of a fitness value, not only the final reduction.
+
+def _reference_cross_entropy_error(net, dataset):
+    with np.errstate(over="ignore", invalid="ignore"):
+        hidden = net.exponents @ dataset.log_patterns_t
+        np.exp(hidden, out=hidden)
+        f = np.zeros((net.class_count, dataset.pattern_count))
+        np.matmul(net.coefficients, hidden, out=f[:-1])
+        f[:-1] += net.biases[:, None]
+        target = np.take(f, dataset.target_index)
+        shift = np.maximum.reduce(f, axis=0)
+        f -= shift
+        np.exp(f, out=f)
+        lse = np.log(np.add.reduce(f, axis=0))
+        lse += shift
+        lse -= target
+        return float(lse.mean())
+
+
+def _reference_fitness(net, dataset):
+    err = _reference_cross_entropy_error(net, dataset)
+    if not np.isfinite(err):
+        return 0.0
+    return 1.0 / (1.0 + err)
+
+
+def _reference_count_connections(net):
+    return int(net.exponent_mask.sum()) + int(net.coefficient_mask.sum()) + net.output_count
+
+
+# (N, k, L) of the Balance Scale training split and of Waveform's
+SCORING_DATA = {
+    "balance": random_dataset(np.random.default_rng(469), n=469, k=4, class_count=3),
+    "waveform": random_dataset(np.random.default_rng(3750), n=3750, k=40, class_count=3),
+}
+
+
+class TestScoringMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.sampled_from(sorted(SCORING_DATA)),
+        net_seed=st.integers(0, 2**32 - 1),
+        max_hidden=st.integers(1, 8),
+        link_density=st.sampled_from([0.1, 0.5, 1.0]),
+        coefficient_density=st.sampled_from([0.0, 0.5, 1.0]),
+        exponent_scale=st.sampled_from([1.0, 50.0]),  # 50 overflows the hidden units
+    )
+    def test_bit_identical_fitness_and_count(
+        self, data, net_seed, max_hidden, link_density, coefficient_density, exponent_scale,
+    ):
+        dataset = SCORING_DATA[data]
+        net_rng = np.random.default_rng(net_seed)
+        net = random_network(net_rng, dataset.input_count, max_hidden, dataset.class_count,
+                             link_density=link_density)
+        dropped = net_rng.random(net.coefficients.shape) >= coefficient_density
+        net.coefficients[dropped] = 0.0
+        net.coefficient_mask[dropped] = False
+        net.exponents *= exponent_scale
+
+        expected = _reference_fitness(net, dataset)
+        got = fitness(net, dataset)
+        assert type(got) is float
+        assert got.hex() == expected.hex()
+        connections = count_connections(net)
+        assert type(connections) is int
+        assert connections == _reference_count_connections(net)
 
 
 class TestRandomNetwork:

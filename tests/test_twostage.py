@@ -3,7 +3,12 @@ import pytest
 
 from evopunn.evolution import EaParams, EvalCounter, Individual, MutationState, initialize_population, run_evolution
 from evopunn.network import count_connections, random_network, serialize_network
-from evopunn.twostage import expected_evaluations, merge_populations, run_two_stage
+from evopunn.twostage import (
+    expected_evaluations,
+    final_hidden_cap,
+    merge_populations,
+    run_two_stage,
+)
 
 from conftest import make_dataset
 
@@ -88,6 +93,19 @@ class TestRunTwoStage:
         assert fits == sorted(fits, reverse=True)
         for ind in merged:
             assert ind.net.hidden_count <= params.max_hidden + 1
+
+    def test_stages_run_at_their_caps(self, toy_train):
+        # add_node alone pushes every population up against its cap
+        params = two_stage_params(pop_size=10, gen=20, neu=2, structural_ops=("add_node",))
+        largest = {}
+
+        def log(stage, gen_index, population, counter):
+            size = max(ind.net.hidden_count for ind in population)
+            largest[stage] = max(largest.get(stage, 0), size)
+
+        run_two_stage(params, np.random.default_rng(9), toy_train, on_generation=log)
+        assert final_hidden_cap(2) == 3
+        assert largest == {"stage1-a": 2, "stage1-b": 3, "stage2": 3}
 
     def test_stage1_length(self, toy_train):
         params = two_stage_params(gen=20)
