@@ -24,9 +24,6 @@ right_distance,continuous
 class,class,B|L|R
 """
 
-WAVEFORM_SCHEMA_HEADER = "# waveform: 40 continuous attributes, 3 classes\n"
-
-
 def balance_scale_rows() -> list[tuple[int, int, int, int, str]]:
     rows = []
     for lw in range(1, 6):

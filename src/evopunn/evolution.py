@@ -36,6 +36,7 @@ ALPHA_MIN = 1e-4
 ALPHA_MAX = 5.0
 ONE_FIFTH_FACTOR = 0.9
 IMPROVEMENT_EPSILON = 1e-9  # a gain this small does not reset the stall counter
+SEEDING_FACTOR = 10  # random networks scored per population slot at initialisation
 
 
 @dataclass
@@ -80,19 +81,13 @@ class MutationState:
     alpha_min: float = ALPHA_MIN
 
 
+@dataclass(slots=True)
 class EvalCounter:
     """Counts fitness evaluations; incremented once per network scored."""
-
-    __slots__ = ("total",)
-
-    def __init__(self, total: int = 0):
-        self.total = total
+    total: int = 0
 
     def add(self, n: int = 1) -> None:
         self.total += n
-
-    def __repr__(self):
-        return f"EvalCounter({self.total})"
 
 
 @dataclass
@@ -126,7 +121,7 @@ def population_mean_fitness(population: list[Individual]) -> float:
 def initialize_population(
     rng: np.random.Generator, params: EaParams, train, counter: EvalCounter
 ) -> list[Individual]:
-    """Score 10 * pop_size random networks and keep the best pop_size."""
+    """Score SEEDING_FACTOR * pop_size random networks; keep the best pop_size."""
     params.validate()
     if train.pattern_count == 0:
         raise ValueError("training set is empty")
@@ -138,7 +133,7 @@ def initialize_population(
             ),
             train, counter,
         )
-        for _ in range(10 * params.pop_size)
+        for _ in range(SEEDING_FACTOR * params.pop_size)
     ]
     sort_population(candidates)
     return candidates[: params.pop_size]

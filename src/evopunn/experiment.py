@@ -62,24 +62,25 @@ CONFIGURATIONS: dict[str, tuple[str, int, float]] = {
 
 @dataclass
 class ExperimentConfig:
-    method: str                  # "edd" (single full-length run) or "tsea"
     config_id: str
     neu: int
     gen: int
-    alpha2: float
     pop_size: int = 1000
     n_runs: int = 30
     master_seed: int = 0
-    preset: str | None = None
+
+    @property
+    def method(self) -> str:
+        """The method, "edd" (single full-length run) or "tsea" (two-stage
+        seeding), read from CONFIGURATIONS so it always agrees with config_id."""
+        return CONFIGURATIONS[self.config_id][0]
 
     def ea_params(self) -> EaParams:
-        """Engine parameters. For "edd" the hidden cap already includes the
-        configuration's offset; for "tsea" it is the smaller of the two caps."""
-        _, offset, _ = CONFIGURATIONS[self.config_id]
-        cap = self.neu + (offset if self.method == "edd" else 0)
-        return EaParams(
-            gen=self.gen, max_hidden=cap, pop_size=self.pop_size, alpha2=self.alpha2
-        )
+        """Engine parameters. The hidden cap is neu plus the configuration's
+        offset; "tsea" rows have offset 0, so theirs is neu, the smaller cap."""
+        _, offset, alpha2 = CONFIGURATIONS[self.config_id]
+        return EaParams(gen=self.gen, max_hidden=self.neu + offset,
+                        pop_size=self.pop_size, alpha2=alpha2)
 
 
 def make_config(
@@ -93,7 +94,6 @@ def make_config(
 ) -> ExperimentConfig:
     if config_id not in CONFIGURATIONS:
         raise ValueError(f"unknown configuration {config_id!r}; choose from {sorted(CONFIGURATIONS)}")
-    method, _, alpha2 = CONFIGURATIONS[config_id]
     if preset is not None:
         if preset not in PRESETS:
             raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
@@ -106,10 +106,8 @@ def make_config(
         raise ValueError("either a preset or explicit neu and gen values are required")
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
-    return ExperimentConfig(
-        method=method, config_id=config_id, neu=neu, gen=gen, alpha2=alpha2,
-        pop_size=pop_size, n_runs=n_runs, master_seed=master_seed, preset=preset,
-    )
+    return ExperimentConfig(config_id=config_id, neu=neu, gen=gen, pop_size=pop_size,
+                            n_runs=n_runs, master_seed=master_seed)
 
 
 @dataclass

@@ -150,10 +150,12 @@ def predict_class(net: PunnNetwork, pattern) -> int:
 
 def predict_classes(net: PunnNetwork, dataset) -> np.ndarray:
     """Predicted class index per pattern of a processed dataset; ties resolve
-    to the lowest index."""
+    to the lowest index. Non-finite outputs have no class and raise ValueError."""
     _check_compatible(net, dataset)
     with np.errstate(over="ignore", invalid="ignore"):
         outputs = class_outputs(net, dataset)
+    if not np.isfinite(outputs).all():
+        raise ValueError("network outputs are not finite on this dataset")
     return np.argmax(outputs, axis=0)
 
 

@@ -18,10 +18,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .evolution import (
+    SEEDING_FACTOR,
     EaParams,
     EvalCounter,
     Individual,
     MutationState,
+    generation_split,
     initialize_population,
     run_evolution,
     sort_population,
@@ -48,15 +50,24 @@ def final_hidden_cap(neu: int) -> int:
     return neu + 1
 
 
+def stage1_length(gen: int) -> int:
+    """Generations each stage-one population evolves: a tenth of the budget."""
+    return gen // 10
+
+
+def _require_even(pop_size: int) -> None:
+    if pop_size % 2:
+        raise ValueError("pop_size must be even (the merge takes half of each population)")
+
+
 def merge_populations(
     pop_a: list[Individual], pop_b: list[Individual]
 ) -> list[Individual]:
     """Best half of each population, tagged with its source, sorted together."""
     if len(pop_a) != len(pop_b):
         raise ValueError("populations must have equal size")
+    _require_even(len(pop_a))
     half = len(pop_a) // 2
-    if 2 * half != len(pop_a):
-        raise ValueError("population size must be even")
     for ind in pop_a[:half]:
         ind.origin = STAGE_A
     for ind in pop_b[:half]:
@@ -79,18 +90,17 @@ def run_two_stage(
 
     Three independent substreams are derived from the caller's generator (one
     per stage-one population, one for stage two), so the stage-one runs could
-    execute in parallel without changing the outcome. Stage one runs a fixed
-    gen/10 generations per population; stage two applies the standard loop
-    with early stopping to the merged population, without re-initialization.
+    execute in parallel without changing the outcome. Stage one runs
+    stage1_length(gen) generations per population; stage two applies the
+    standard loop with early stopping to the merged population as it is.
     """
     params.validate()
-    if params.pop_size % 2:
-        raise ValueError("pop_size must be even (the merge takes half of each population)")
+    _require_even(params.pop_size)
     counter = counter if counter is not None else EvalCounter()
     rng_a, rng_b, rng_stage2 = rng.spawn(3)
     neu = params.max_hidden
     final_cap = final_hidden_cap(neu)
-    stage1 = params.gen // 10
+    stage1 = stage1_length(params.gen)
 
     halves = []
     for cap, stream, label in ((neu, rng_a, STAGE_A), (final_cap, rng_b, STAGE_B)):
@@ -116,34 +126,26 @@ def run_two_stage(
     return final_population[0], counter, history
 
 
-def expected_evaluations(pop_size: int, gen: int) -> dict[str, int | float]:
-    """Closed-form fitness-evaluation counts.
+def expected_evaluations(pop_size: int, gen: int) -> dict[str, int]:
+    """Closed-form fitness-evaluation counts of the schedule the runs follow.
 
-    A single full-length run costs 10N to seed plus 0.9N per generation; the
-    baseline needs two such runs (one per hidden-node cap), while the
-    two-stage schedule seeds two populations, evolves each a tenth of the
-    budget, then pays one full-length loop. The reduction is reported as a
-    whole percentage. Counts are exact integers whenever pop_size and gen are
-    multiples of ten, in which case an instrumented run with early stopping
-    disabled matches them exactly.
+    A full-length run seeds from SEEDING_FACTOR * N random networks, then
+    scores the working set of generation_split(N) each generation; the
+    baseline is two such runs, one per hidden-node cap. The two-stage run
+    seeds two populations, evolves each for stage1_length(gen) generations,
+    then evolves the merged one for gen. A run with no early stop spends
+    exactly these counts. The reduction is a whole percentage.
     """
     if pop_size < 1 or gen < 0:
         raise ValueError("pop_size must be positive and gen nonnegative")
-
-    # integer arithmetic in hundredths so multiples of ten stay exact
-    single100 = 1000 * pop_size + 90 * pop_size * gen
-    tsea100 = 2000 * pop_size + 18 * pop_size * gen + 90 * pop_size * gen
-
-    def from_hundredths(value: int) -> int | float:
-        return value // 100 if value % 100 == 0 else value / 100
-
-    edd_single = from_hundredths(single100)
-    edd_pair = from_hundredths(2 * single100)
-    tsea = from_hundredths(tsea100)
-    reduction = round(100 * (1 - tsea100 / (2 * single100)))
+    _require_even(pop_size)
+    per_generation = pop_size - generation_split(pop_size)[0]  # elites are not rescored
+    seeding = SEEDING_FACTOR * pop_size
+    edd_single = seeding + gen * per_generation
+    tsea = 2 * (seeding + stage1_length(gen) * per_generation) + gen * per_generation
     return {
         "edd_single": edd_single,
-        "edd_pair": edd_pair,
+        "edd_pair": 2 * edd_single,
         "tsea": tsea,
-        "reduction_percent": int(reduction),
+        "reduction_percent": round(100 * (1 - tsea / (2 * edd_single))),
     }

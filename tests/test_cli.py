@@ -60,6 +60,16 @@ class TestEvalsVerb:
         assert lines[0] == "tsea\tedd\treduction_percent"
         assert lines[1] == row
 
+    def test_off_multiples_of_ten(self, capsys):
+        # floor(0.9 * 12) = 10 evaluations per generation, one stage-one generation
+        main(["evals", "--pop", "12", "--gen", "10"])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[1:] == ["360\t440\t18", "# single full-length run: 220 evaluations"]
+
+    def test_odd_population_rejected(self):
+        with pytest.raises(ValueError, match="even"):
+            main(["evals", "--pop", "11", "--gen", "10"])
+
 
 class TestTrainAndPredict:
     def test_train_writes_model_and_trace(self, balance_splits, tmp_path, capsys):

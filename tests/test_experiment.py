@@ -63,6 +63,7 @@ class TestConfigurations:
     )
     def test_full_run_configurations(self, cid, offset, alpha2):
         config = make_config(cid, preset="pima")
+        assert config.method == CONFIGURATIONS[cid][0]
         params = config.ea_params()
         assert params.max_hidden == 3 + offset
         assert params.alpha2 == alpha2
@@ -72,6 +73,7 @@ class TestConfigurations:
     @pytest.mark.parametrize("cid,alpha2", [("1star", 1.0), ("2star", 1.5)])
     def test_two_stage_configurations(self, cid, alpha2):
         config = make_config(cid, preset="pima")
+        assert config.method == CONFIGURATIONS[cid][0]
         params = config.ea_params()
         assert params.max_hidden == 3  # stage-two cap is neu + 1 inside the runner
         assert params.alpha2 == alpha2

@@ -259,6 +259,17 @@ class TestCcr:
         ds = make_dataset([[1.5], [1.2], [1.4], [1.9]], [1, 1, 1, 1], 2)
         assert correct_classification_rate(net, ds) == 0.0
 
+    def test_non_finite_outputs_raise(self):
+        # (1e300) ** 5 overflows the hidden unit; the fitness path still
+        # maps this to 0.0, but there is no class to predict
+        net = build_net(1, 3, [{0: 5.0}], [(0.0, {0: 1.0}), (0.0, {0: -1.0})])
+        ds = make_dataset([[1e300], [1.5]], [0, 2], 3)
+        assert fitness(net, ds) == 0.0
+        with pytest.raises(ValueError, match="not finite"):
+            predict_classes(net, ds)
+        with pytest.raises(ValueError, match="not finite"):
+            correct_classification_rate(net, ds)
+
 
 class TestConnections:
     def test_small_example(self):

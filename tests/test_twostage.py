@@ -37,12 +37,15 @@ class TestExpectedEvaluations:
         assert counts["edd_single"] * 2 == edd_pair
 
     def test_exact_integers(self):
-        counts = expected_evaluations(1000, 150)
-        assert all(isinstance(v, int) for v in counts.values())
+        for pop_size, gen in ((1000, 150), (12, 10), (10, 15), (20, 25)):
+            counts = expected_evaluations(pop_size, gen)
+            assert all(type(v) is int for v in counts.values()), (pop_size, gen)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             expected_evaluations(0, 10)
+        with pytest.raises(ValueError, match="even"):
+            expected_evaluations(11, 10)
 
 
 class TestMerge:
@@ -112,24 +115,32 @@ class TestRunTwoStage:
         _, _, history = run_two_stage(params, np.random.default_rng(3), toy_train)
         assert history.stage1_generations == 2
 
-    def test_counter_matches_closed_form(self, toy_train):
+    # (pop, gen, tsea, edd_single) with early stopping off: seeding 10 * pop,
+    # floor(0.9 * pop) evaluations per generation, gen // 10 stage-one
+    # generations per population
+    SCHEDULES = [(10, 10, 308, 190), (12, 10, 360, 220), (10, 15, 353, 235), (20, 25, 922, 650)]
+
+    @pytest.mark.parametrize("pop_size,gen,tsea,edd_single", SCHEDULES)
+    def test_counter_matches_closed_form(self, toy_train, pop_size, gen, tsea, edd_single):
         # early stopping only exists in stage 2; disable it via a huge window
-        params = two_stage_params(pop_size=10, gen=10, neu=2,
+        params = two_stage_params(pop_size=pop_size, gen=gen, neu=2,
                                   gen_without_improving=10_000)
         best, counter, history = run_two_stage(params, np.random.default_rng(5), toy_train)
-        expected = expected_evaluations(10, 10)["tsea"]
-        assert counter.total == expected == 2 * (100 + 9 * 1) + 9 * 10
-        assert history.stage2_generations == 10
-        assert history.total_generations == 12
+        assert counter.total == expected_evaluations(pop_size, gen)["tsea"] == tsea
+        assert history.stage2_generations == gen
+        assert history.total_generations == 2 * (gen // 10) + gen
 
-    def test_single_run_counter_matches_closed_form(self, toy_train):
-        params = EaParams(gen=10, max_hidden=2, pop_size=10, gen_without_improving=10_000)
+    @pytest.mark.parametrize("pop_size,gen,tsea,edd_single", SCHEDULES)
+    def test_single_run_counter_matches_closed_form(
+        self, toy_train, pop_size, gen, tsea, edd_single
+    ):
+        params = EaParams(gen=gen, max_hidden=2, pop_size=pop_size, gen_without_improving=10_000)
         counter = EvalCounter()
         rng = np.random.default_rng(5)
         pop = initialize_population(rng, params, toy_train, counter)
         state = MutationState(params.alpha1, params.alpha2)
         run_evolution(pop, state, rng, params, toy_train, counter)
-        assert counter.total == expected_evaluations(10, 10)["edd_single"]
+        assert counter.total == expected_evaluations(pop_size, gen)["edd_single"] == edd_single
 
     def test_deterministic(self, toy_train):
         outcomes = []
