@@ -233,10 +233,6 @@ def _cmd_evals(args) -> int:
 def _cmd_predict(args) -> int:
     net, doc = deserialize_network(Path(args.model).read_text(encoding="utf-8"))
     dataset = load_dataset(args.data)
-    if dataset.input_count != net.input_count:
-        raise SystemExit(
-            f"dataset has {dataset.input_count} inputs, model expects {net.input_count}"
-        )
     names = doc.get("class_names")
     predictions = predict_classes(net, dataset)
     for index in predictions:
@@ -258,8 +254,16 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return _COMMANDS[args.verb](args)
+    """Run one verb. A ValueError, which the library raises for input it
+    rejects, is reported as one line on stderr with exit status 2, the
+    status argparse gives a usage error."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _COMMANDS[args.verb](args)
+    except ValueError as exc:
+        print(f"{parser.prog} {args.verb}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -217,10 +217,35 @@ def adapt_variances(state: MutationState) -> None:
 
 def _draw_count(rng: np.random.Generator, params: EaParams) -> int:
     lo, hi = params.node_op_count_range
-    return int(rng.integers(lo, hi + 1))
+    return int(rng.integers(lo, hi, endpoint=True))
 
 
-def _add_node(net: PunnNetwork, rng: np.random.Generator, params: EaParams) -> PunnNetwork:
+def _sample(rng: np.random.Generator, n: int, size: int) -> list[int]:
+    """rng.choice(n, size, replace=False) as a list, from the same draws.
+
+    numpy draws so small a sample by Floyd's algorithm and then shuffles it.
+    For one or two picks those are one or three Generator.integers calls,
+    which cost a fraction of a choice call; larger samples call choice."""
+    if size == 1:
+        return [int(rng.integers(0, n))]
+    if size == 2:
+        first = int(rng.integers(0, n - 1))
+        second = int(rng.integers(0, n))
+        if second == first:
+            second = n - 1
+        return [first, second] if rng.integers(0, 2) else [second, first]
+    return rng.choice(n, size, replace=False).tolist()
+
+
+# Every operator takes (net, rng, params, owned=False) and returns the child,
+# or net itself when it changes nothing. With owned=True, net is a child that
+# structural_mutation built earlier for the same individual: the operator may
+# edit its arrays in place and share its biases. Otherwise net belongs to a
+# parent, which is never written, and a changed child gets arrays of its own.
+
+def _add_node(
+    net: PunnNetwork, rng: np.random.Generator, params: EaParams, owned: bool = False
+) -> PunnNetwork:
     """Append up to the drawn count of nodes, as room under the cap allows.
 
     Each new node's input connections exist independently with probability
@@ -239,13 +264,13 @@ def _add_node(net: PunnNetwork, rng: np.random.Generator, params: EaParams) -> P
     exponents[:m] = net.exponents
     exponent_mask[:m] = net.exponent_mask
     for row in range(m, m + add):
-        mask = rng.random(k) < params.link_density
+        mask = exponent_mask[row]
+        np.less(rng.random(k), params.link_density, out=mask)
         links = np.count_nonzero(mask)
         while not links:
-            mask = rng.random(k) < params.link_density
+            np.less(rng.random(k), params.link_density, out=mask)
             links = np.count_nonzero(mask)
-        exponent_mask[row] = mask
-        exponents[row, mask] = rng.uniform(lo, hi, links)
+        exponents[row][mask] = rng.uniform(lo, hi, links)
     coefficients = np.empty((net.output_count, m + add))
     coefficient_mask = np.empty((net.output_count, m + add), dtype=bool)
     coefficients[:, :m] = net.coefficients
@@ -254,13 +279,12 @@ def _add_node(net: PunnNetwork, rng: np.random.Generator, params: EaParams) -> P
     coefficient_mask[:, m:] = True
     return PunnNetwork(
         net.input_count, net.class_count, exponents, exponent_mask,
-        coefficients, coefficient_mask, net.biases.copy(),
+        coefficients, coefficient_mask, net.biases if owned else net.biases.copy(),
     )
 
 
-def _keep_nodes(net: PunnNetwork, keep: np.ndarray) -> PunnNetwork:
-    """Child holding the hidden nodes where the boolean mask keep is True."""
-    kept = keep.nonzero()[0]  # take on indices costs less than boolean indexing
+def _keep_nodes(net: PunnNetwork, kept: list[int], owned: bool) -> PunnNetwork:
+    """Child holding the hidden nodes whose indices, ascending, are in kept."""
     return PunnNetwork(
         net.input_count,
         net.class_count,
@@ -268,62 +292,66 @@ def _keep_nodes(net: PunnNetwork, keep: np.ndarray) -> PunnNetwork:
         net.exponent_mask.take(kept, axis=0),
         net.coefficients.take(kept, axis=1),
         net.coefficient_mask.take(kept, axis=1),
-        net.biases.copy(),
+        net.biases if owned else net.biases.copy(),
     )
 
 
-def _delete_node(net: PunnNetwork, rng: np.random.Generator, params: EaParams) -> PunnNetwork:
+def _delete_node(
+    net: PunnNetwork, rng: np.random.Generator, params: EaParams, owned: bool = False
+) -> PunnNetwork:
     wanted = _draw_count(rng, params)
-    removable = min(wanted, net.hidden_count - 1)  # a network keeps at least one node
+    m = net.hidden_count
+    removable = min(wanted, m - 1)  # a network keeps at least one node
     if removable <= 0:
         return net
-    keep = np.ones(net.hidden_count, dtype=bool)
-    keep[rng.choice(net.hidden_count, size=removable, replace=False)] = False
-    return _keep_nodes(net, keep)
+    victims = _sample(rng, m, removable)
+    return _keep_nodes(net, [j for j in range(m) if j not in victims], owned)
 
 
 def _edit_connections(
-    net: PunnNetwork, rng: np.random.Generator, params: EaParams, existing: bool
+    net: PunnNetwork, rng: np.random.Generator, params: EaParams, owned: bool = False,
+    *, existing: bool,
 ) -> PunnNetwork:
     """Delete existing connections (existing=True) or add absent ones with
     weights uniform in the weight interval (existing=False). The links are
-    drawn without replacement from both layers' pool; an empty pool is a
-    no-op.
-
-    Both layers are edited as one flat buffer each for masks and weights,
-    the exponents then the coefficients in C order, which fixes the order of
-    the pool; the child's four arrays are reshaped slices of the two."""
+    drawn without replacement from both layers' pool, the exponents then the
+    coefficients in C order; an empty pool is a no-op."""
     wanted = _draw_count(rng, params)
-    links = np.concatenate((net.exponent_mask.ravel(), net.coefficient_mask.ravel()))
-    pool = (links if existing else ~links).nonzero()[0]
-    if pool.size == 0:
+    pools = [
+        (links if existing else ~links).nonzero()[0]
+        for links in (net.exponent_mask.ravel(), net.coefficient_mask.ravel())
+    ]
+    split = pools[0].size
+    size = split + pools[1].size
+    if size == 0:
         return net
-    picks = pool[rng.choice(pool.size, size=min(wanted, pool.size), replace=False)]
-    weights = np.concatenate((net.exponents.ravel(), net.coefficients.ravel()))
+    picks = _sample(rng, size, min(wanted, size))
+    child = net if owned else net.clone()
     if existing:
-        weights[picks] = 0.0
+        weights = [0.0] * len(picks)
     else:
         lo, hi = params.weight_interval
-        weights[picks] = rng.uniform(lo, hi, picks.size)
-    links[picks] = not existing
-    split = net.exponent_mask.size
-    m, k = net.exponent_mask.shape
-    return PunnNetwork(
-        net.input_count,
-        net.class_count,
-        weights[:split].reshape(m, k),
-        links[:split].reshape(m, k),
-        weights[split:].reshape(net.output_count, m),
-        links[split:].reshape(net.output_count, m),
-        net.biases.copy(),
-    )
+        weights = rng.uniform(lo, hi, len(picks))
+    for pick, weight in zip(picks, weights):
+        if pick < split:
+            at = pools[0][pick]
+            child.exponents.flat[at] = weight
+            child.exponent_mask.flat[at] = not existing
+        else:
+            at = pools[1][pick - split]
+            child.coefficients.flat[at] = weight
+            child.coefficient_mask.flat[at] = not existing
+    return child
 
 
-def _fuse_nodes(net: PunnNetwork, rng: np.random.Generator, params: EaParams) -> PunnNetwork:
-    if net.hidden_count < 2:
+def _fuse_nodes(
+    net: PunnNetwork, rng: np.random.Generator, params: EaParams, owned: bool = False
+) -> PunnNetwork:
+    m = net.hidden_count
+    if m < 2:
         return net
     lo, hi = params.weight_interval
-    a, b = (int(v) for v in rng.choice(net.hidden_count, size=2, replace=False))
+    a, b = _sample(rng, m, 2)
     keep, drop = min(a, b), max(a, b)
 
     in_a = net.exponent_mask[a]
@@ -341,11 +369,10 @@ def _fuse_nodes(net: PunnNetwork, rng: np.random.Generator, params: EaParams) ->
 
     coef_mask = net.coefficient_mask[:, a] | net.coefficient_mask[:, b]
     summed = net.coefficients[:, a] + net.coefficients[:, b]
-    coefficients = np.where(coef_mask, np.clip(summed, lo, hi), 0.0)
+    coefficients = np.where(coef_mask, summed.clip(lo, hi), 0.0)
 
-    nodes = np.ones(net.hidden_count, dtype=bool)
-    nodes[drop] = False
-    out = _keep_nodes(net, nodes)  # drop > keep, so keep's row index is unchanged
+    # drop > keep, so keep's index is the same in the child
+    out = _keep_nodes(net, [j for j in range(m) if j != drop], owned)
     out.exponents[keep] = exponents
     out.exponent_mask[keep] = mask
     out.coefficients[:, keep] = coefficients
@@ -374,17 +401,23 @@ def structural_mutation(
     """Topology change: the enabled operators are tried in their fixed order,
     each firing independently with probability T; if none fired, one is chosen
     uniformly and applied. Degenerate cases (size bound hit, nothing to add or
-    remove) are explicit no-ops. Returns a network the caller must re-score."""
+    remove) are explicit no-ops, so the parent's own network comes back when
+    nothing changed. Returns a network the caller must re-score.
+
+    The parent's arrays are copied at most once: the first operator that
+    changes something builds the child, later connection edits write into
+    it, and later node-count changes resize it."""
     ops = _operator_sequence(params.structural_ops)
+    parent = ind.net
     if not ops:
-        return ind.net
+        return parent
     t = temperature(ind)
-    net = ind.net
+    net = parent
     fired = False
     for op in ops:
         if rng.random() < t:
             fired = True
-            net = op(net, rng, params)
+            net = op(net, rng, params, net is not parent)
     if not fired:
         net = ops[int(rng.integers(len(ops)))](net, rng, params)
     return net

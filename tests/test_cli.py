@@ -6,7 +6,10 @@ import pytest
 
 from evopunn.cli import main
 from evopunn.data import load_dataset
+from evopunn.network import serialize_network
 from evopunn.twostage import final_hidden_cap
+
+from conftest import build_net
 
 
 @pytest.fixture
@@ -21,6 +24,13 @@ def balance_splits(tmp_path):
     ])
     main(["split", "--data", str(proc), "--ratio", "0.75", "--seed", "11", "--out", str(proc)])
     return proc
+
+
+def assert_one_line_error(capsys, verb, message):
+    """A rejected input ends in one stderr line and nothing on stdout."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"evopunn {verb}: error: {message}\n"
 
 
 class TestPipelineVerbs:
@@ -66,9 +76,17 @@ class TestEvalsVerb:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[1:] == ["360\t440\t18", "# single full-length run: 220 evaluations"]
 
-    def test_odd_population_rejected(self):
-        with pytest.raises(ValueError, match="even"):
-            main(["evals", "--pop", "11", "--gen", "10"])
+    def test_odd_population_rejected(self, capsys):
+        assert main(["evals", "--pop", "11", "--gen", "10"]) == 2
+        assert_one_line_error(
+            capsys, "evals", "pop_size must be even (the merge takes half of each population)"
+        )
+
+    def test_negative_generations_rejected(self, capsys):
+        assert main(["evals", "--pop", "10", "--gen", "-1"]) == 2
+        assert_one_line_error(
+            capsys, "evals", "pop_size must be positive and gen nonnegative"
+        )
 
 
 class TestTrainAndPredict:
@@ -114,6 +132,14 @@ class TestTrainAndPredict:
         assert set(lines[:-1]) <= {"B", "L", "R"}
         assert lines[-1].startswith("ccr=")
 
+    def test_input_count_mismatch_is_one_line(self, balance_splits, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(serialize_network(build_net(3, 3, [{0: 1.0}], [(0.0, {0: 1.0})] * 2)))
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model), "--data", str(balance_splits / "test.dat")])
+        assert code == 2
+        assert_one_line_error(capsys, "predict", "dataset has 4 inputs, network expects 3")
+
     def test_train_determinism(self, balance_splits, tmp_path, capsys):
         texts = []
         for name in ("a.json", "b.json"):
@@ -146,3 +172,15 @@ class TestExperimentVerb:
         assert rows[-2][0] == "mean"
         out = capsys.readouterr().out
         assert "balance config 1" in out
+
+    def test_disabled_preset_is_one_line(self, tmp_path, capsys):
+        report = tmp_path / "report.csv"
+        code = main([
+            "experiment", "--config", "1", "--preset", "btx",
+            "--seed", "1", "--out", str(report),
+        ])
+        assert code == 2
+        assert_one_line_error(
+            capsys, "experiment", "preset 'btx' is disabled: proprietary data, no public source"
+        )
+        assert not report.exists()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from evopunn import evolution
 from evopunn.evolution import (
@@ -477,6 +477,102 @@ class TestOperatorsMatchReference:
             assert np.array_equal(getattr(net, name), before[name])  # parent untouched
         assert got_rng.bit_generator.state == expected_rng.bit_generator.state
         assert got_rng.random() == expected_rng.random()
+
+
+def _reference_structural_mutation(ind, rng, params):
+    """One rng.random() < T coin per enabled operator in order, the fallback
+    through rng.integers(len(ops)), each step a reference operator."""
+    t = 1.0 - ind.fitness
+    ops = [REFERENCE_OPERATORS[name] for name in params.structural_ops]
+    net = ind.net
+    fired = False
+    for op in ops:
+        if rng.random() < t:
+            fired = True
+            net = op(net, rng, params)
+    if not fired:
+        net = ops[int(rng.integers(len(ops)))](net, rng, params)
+    return net
+
+
+class TestStructuralMutationMatchesReference:
+    """Composition: later operators edit the child that earlier ones built,
+    so an operator that writes into its parent or reads arrays an earlier
+    operator replaced shows up here, not in the one-operator test above."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        order=st.permutations(evolution.STRUCTURAL_OPS),
+        net_seed=st.integers(0, 2**32 - 1),
+        op_seed=st.integers(0, 2**32 - 1),
+        input_count=st.sampled_from([1, 2, 4, 9, 40]),
+        class_count=st.integers(2, 5),
+        max_hidden=st.integers(1, 6),
+        link_density=st.sampled_from([0.1, 0.5, 1.0]),
+        coefficient_density=st.sampled_from([0.0, 0.5, 1.0]),
+        most=st.integers(1, 4),
+        room=st.integers(0, 3),
+        fitness_value=st.floats(0.0, 0.5),
+    )
+    def test_bit_identical_child_and_generator_state(
+        self, order, net_seed, op_seed, input_count, class_count, max_hidden,
+        link_density, coefficient_density, most, room, fitness_value,
+    ):
+        net_rng = np.random.default_rng(net_seed)
+        net = random_network(net_rng, input_count, max_hidden, class_count,
+                             link_density=link_density)
+        dropped = net_rng.random(net.coefficients.shape) >= coefficient_density
+        net.coefficients[dropped] = 0.0
+        net.coefficient_mask[dropped] = False
+        before = {name: getattr(net, name).copy() for name in NET_ARRAYS}
+        # T = 1 - fitness >= 0.5, so most children pass through several operators
+        ind = Individual(net, fitness_value, count_connections(net))
+        params = EaParams(gen=1, max_hidden=max_hidden + room, node_op_count_range=(1, most),
+                          link_density=link_density, structural_ops=tuple(order))
+
+        expected_rng = np.random.default_rng(op_seed)
+        got_rng = np.random.default_rng(op_seed)
+        expected = _reference_structural_mutation(ind, expected_rng, params)
+        got = structural_mutation(ind, got_rng, params)
+
+        assert (got is net) == (expected is net)
+        for name in NET_ARRAYS:
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), name
+            assert np.array_equal(getattr(net, name), before[name])  # parent untouched
+        assert got_rng.bit_generator.state == expected_rng.bit_generator.state
+
+
+class TestSample:
+    """evolution._sample against Generator.choice(n, size, replace=False).
+
+    The identity is numpy's algorithm for small samples without replacement:
+    Floyd's algorithm, then a Fisher-Yates shuffle of the picks, every draw a
+    bounded integer from the same 32-bit stream as Generator.integers. A
+    numpy that draws these samples differently fails here instead of
+    changing training results silently."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        size=st.sampled_from([1, 2, 3]),
+        n=st.integers(1, 10**4),
+        seed=st.integers(0, 2**32 - 1),
+        half_used=st.booleans(),
+    )
+    @example(size=1, n=1, seed=0, half_used=False)
+    @example(size=2, n=2, seed=0, half_used=True)
+    @example(size=2, n=10**4, seed=0, half_used=False)
+    def test_same_picks_and_generator_state(self, size, n, seed, half_used):
+        n = max(n, size)
+        expected_rng = np.random.default_rng(seed)
+        got_rng = np.random.default_rng(seed)
+        if half_used:  # leave half of a 64-bit output in the 32-bit buffer
+            expected_rng.integers(0, 2**32, dtype=np.uint32)
+            got_rng.integers(0, 2**32, dtype=np.uint32)
+        expected = expected_rng.choice(n, size, replace=False).tolist()
+        assert evolution._sample(got_rng, n, size) == expected
+        assert got_rng.bit_generator.state == expected_rng.bit_generator.state
 
 
 class TestGenerationSplit:
