@@ -255,13 +255,14 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     """Run one verb. A ValueError, which the library raises for input it
-    rejects, is reported as one line on stderr with exit status 2, the
-    status argparse gives a usage error."""
+    rejects, and an OSError, such as a missing input file, are reported as
+    one line on stderr with exit status 2, the status argparse gives a usage
+    error."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.verb](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"{parser.prog} {args.verb}: error: {exc}", file=sys.stderr)
         return 2
 

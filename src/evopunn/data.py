@@ -9,7 +9,8 @@ always computed over the full dataset, before any splitting.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -66,8 +67,6 @@ class ProcessedDataset:
     feature_names: list[str]
     class_names: list[str]
     normalization: NormalizationParams | None = None
-    _log_t_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _target_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def pattern_count(self) -> int:
@@ -81,22 +80,18 @@ class ProcessedDataset:
     def class_count(self) -> int:
         return len(self.class_names)
 
-    @property
+    @cached_property
     def log_patterns_t(self) -> np.ndarray:
         """log(patterns) transposed to a C-contiguous (k, N) matrix, the
         layout of the pattern-major forward pass."""
-        if self._log_t_cache is None:
-            self._log_t_cache = np.ascontiguousarray(np.log(self.patterns).T)
-        return self._log_t_cache
+        return np.ascontiguousarray(np.log(self.patterns).T)
 
-    @property
+    @cached_property
     def target_index(self) -> np.ndarray:
         """Flat index of each pattern's true-class entry in a C-ordered
         (L, N) matrix of class outputs: label * N + pattern index."""
-        if self._target_cache is None:
-            n = self.pattern_count
-            self._target_cache = self.labels * n + np.arange(n)
-        return self._target_cache
+        n = self.pattern_count
+        return self.labels * n + np.arange(n)
 
 
 def load_schema(path) -> list[ColumnSpec]:

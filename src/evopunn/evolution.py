@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,6 +35,7 @@ STRUCTURAL_OPS = (
 
 ALPHA_MIN = 1e-4
 ALPHA_MAX = 5.0
+MAX_OP_COUNT = 2  # an operator adds or deletes 1 to MAX_OP_COUNT nodes or links
 ONE_FIFTH_FACTOR = 0.9
 IMPROVEMENT_EPSILON = 1e-9  # a gain this small does not reset the stall counter
 SEEDING_FACTOR = 10  # random networks scored per population slot at initialisation
@@ -44,13 +46,13 @@ class EaParams:
     gen: int                       # generation budget
     max_hidden: int                # hidden-node cap
     pop_size: int = 1000
-    alpha1: float = 0.5            # initial exponent-noise variance scale
     alpha2: float = 1.0            # initial coefficient/bias-noise variance scale
     gen_without_improving: int = 20
-    weight_interval: tuple[float, float] = WEIGHT_INTERVAL
-    node_op_count_range: tuple[int, int] = (1, 2)
-    link_density: float = 0.5
     structural_ops: tuple[str, ...] = STRUCTURAL_OPS
+    # fixed by the method, not settable
+    alpha1: ClassVar[float] = 0.5  # initial exponent-noise variance scale
+    weight_interval: ClassVar[tuple[float, float]] = WEIGHT_INTERVAL
+    link_density: ClassVar[float] = 0.5  # input-link probability of a new node
 
     def validate(self) -> None:
         if self.gen < 0:
@@ -59,13 +61,10 @@ class EaParams:
             raise ValueError("pop_size must be positive")
         if self.max_hidden < 1:
             raise ValueError("max_hidden must be at least 1")
-        if self.alpha1 < 0 or self.alpha2 < 0:
-            raise ValueError("alpha values must be nonnegative")
+        if self.alpha2 < 0:
+            raise ValueError("alpha2 must be nonnegative")
         if self.gen_without_improving < 1:
             raise ValueError("gen_without_improving must be positive")
-        lo, hi = self.node_op_count_range
-        if not 1 <= lo <= hi:
-            raise ValueError("node_op_count_range must be an increasing range from >= 1")
         unknown = set(self.structural_ops) - set(STRUCTURAL_OPS)
         if unknown:
             raise ValueError(f"unknown structural operators: {sorted(unknown)}")
@@ -78,7 +77,6 @@ class MutationState:
     alpha2: float
     successes: int = 0
     attempts: int = 0
-    alpha_min: float = ALPHA_MIN
 
 
 @dataclass(slots=True)
@@ -209,32 +207,29 @@ def adapt_variances(state: MutationState) -> None:
         factor = ONE_FIFTH_FACTOR
     else:
         factor = 1.0
-    state.alpha1 = min(max(state.alpha1 * factor, state.alpha_min), ALPHA_MAX)
-    state.alpha2 = min(max(state.alpha2 * factor, state.alpha_min), ALPHA_MAX)
+    state.alpha1 = min(max(state.alpha1 * factor, ALPHA_MIN), ALPHA_MAX)
+    state.alpha2 = min(max(state.alpha2 * factor, ALPHA_MIN), ALPHA_MAX)
     state.successes = 0
     state.attempts = 0
 
 
-def _draw_count(rng: np.random.Generator, params: EaParams) -> int:
-    lo, hi = params.node_op_count_range
-    return int(rng.integers(lo, hi, endpoint=True))
+def _draw_count(rng: np.random.Generator) -> int:
+    return int(rng.integers(1, MAX_OP_COUNT, endpoint=True))
 
 
 def _sample(rng: np.random.Generator, n: int, size: int) -> list[int]:
-    """rng.choice(n, size, replace=False) as a list, from the same draws.
+    """rng.choice(n, size, replace=False) as a list, from the same draws, for
+    size 1 or 2 (no operator asks for more than MAX_OP_COUNT picks).
 
-    numpy draws so small a sample by Floyd's algorithm and then shuffles it.
-    For one or two picks those are one or three Generator.integers calls,
-    which cost a fraction of a choice call; larger samples call choice."""
+    numpy draws so small a sample by Floyd's algorithm and then shuffles it:
+    one or three Generator.integers calls, a fraction of a choice call."""
     if size == 1:
         return [int(rng.integers(0, n))]
-    if size == 2:
-        first = int(rng.integers(0, n - 1))
-        second = int(rng.integers(0, n))
-        if second == first:
-            second = n - 1
-        return [first, second] if rng.integers(0, 2) else [second, first]
-    return rng.choice(n, size, replace=False).tolist()
+    first = int(rng.integers(0, n - 1))
+    second = int(rng.integers(0, n))
+    if second == first:
+        second = n - 1
+    return [first, second] if rng.integers(0, 2) else [second, first]
 
 
 # Every operator takes (net, rng, params, owned=False) and returns the child,
@@ -252,7 +247,7 @@ def _add_node(
     link_density (an all-absent draw is redone, so every node has an input)
     and their exponents are drawn straight into the node's row; then one
     draw gives every output a coefficient to every new node."""
-    wanted = _draw_count(rng, params)
+    wanted = _draw_count(rng)
     room = params.max_hidden - net.hidden_count
     add = min(wanted, room)
     if add <= 0:
@@ -299,7 +294,7 @@ def _keep_nodes(net: PunnNetwork, kept: list[int], owned: bool) -> PunnNetwork:
 def _delete_node(
     net: PunnNetwork, rng: np.random.Generator, params: EaParams, owned: bool = False
 ) -> PunnNetwork:
-    wanted = _draw_count(rng, params)
+    wanted = _draw_count(rng)
     m = net.hidden_count
     removable = min(wanted, m - 1)  # a network keeps at least one node
     if removable <= 0:
@@ -316,7 +311,7 @@ def _edit_connections(
     weights uniform in the weight interval (existing=False). The links are
     drawn without replacement from both layers' pool, the exponents then the
     coefficients in C order; an empty pool is a no-op."""
-    wanted = _draw_count(rng, params)
+    wanted = _draw_count(rng)
     pools = [
         (links if existing else ~links).nonzero()[0]
         for links in (net.exponent_mask.ravel(), net.coefficient_mask.ravel())

@@ -60,16 +60,6 @@ class PunnNetwork:
             self.biases.copy(),
         )
 
-    def input_links(self, node: int) -> dict[int, float]:
-        """Existing input connections of one hidden node as {input index: exponent}."""
-        row = self.exponent_mask[node]
-        return {int(i): float(self.exponents[node, i]) for i in np.flatnonzero(row)}
-
-    def output_links(self, output: int) -> dict[int, float]:
-        """Existing hidden connections of one output as {hidden index: coefficient}."""
-        row = self.coefficient_mask[output]
-        return {int(j): float(self.coefficients[output, j]) for j in np.flatnonzero(row)}
-
     def validate(self, weight_interval: tuple[float, float] | None = None) -> None:
         """Raise ValueError if the structural invariants are broken."""
         m, k = self.exponents.shape
@@ -270,9 +260,15 @@ def network_document(
 ) -> dict:
     """Versioned, JSON-ready description of a network.
 
-    Floats survive a round trip bit-exactly (repr emits the shortest decimal
-    that parses back to the same double, never more than 17 significant digits).
+    Each hidden node lists its existing input connections as [input index,
+    exponent] pairs and each output its hidden connections as [hidden index,
+    coefficient] pairs, indices ascending. Floats survive a round trip
+    bit-exactly (repr emits the shortest decimal that parses back to the same
+    double, never more than 17 significant digits).
     """
+    def links(weights: np.ndarray, mask: np.ndarray) -> list[tuple[int, float]]:
+        return [(int(i), float(weights[i])) for i in np.flatnonzero(mask)]
+
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -280,13 +276,12 @@ def network_document(
         "class_count": net.class_count,
         "max_hidden": max_hidden if max_hidden is not None else net.hidden_count,
         "hidden_nodes": [
-            sorted((i, w) for i, w in net.input_links(j).items())
-            for j in range(net.hidden_count)
+            links(net.exponents[j], net.exponent_mask[j]) for j in range(net.hidden_count)
         ],
         "outputs": [
             {
                 "bias": float(net.biases[l]),
-                "links": sorted((j, c) for j, c in net.output_links(l).items()),
+                "links": links(net.coefficients[l], net.coefficient_mask[l]),
             }
             for l in range(net.output_count)
         ],

@@ -140,6 +140,13 @@ class TestTrainAndPredict:
         assert code == 2
         assert_one_line_error(capsys, "predict", "dataset has 4 inputs, network expects 3")
 
+    def test_missing_model_is_one_line(self, balance_splits, tmp_path, capsys):
+        model = tmp_path / "nope.json"
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model), "--data", str(balance_splits / "test.dat")])
+        assert code == 2
+        assert_one_line_error(capsys, "predict", f"[Errno 2] No such file or directory: '{model}'")
+
     def test_train_determinism(self, balance_splits, tmp_path, capsys):
         texts = []
         for name in ("a.json", "b.json"):
@@ -182,5 +189,20 @@ class TestExperimentVerb:
         assert code == 2
         assert_one_line_error(
             capsys, "experiment", "preset 'btx' is disabled: proprietary data, no public source"
+        )
+        assert not report.exists()
+
+    def test_missing_train_set_is_one_line(self, balance_splits, tmp_path, capsys):
+        train = tmp_path / "absent" / "train.dat"
+        report = tmp_path / "report.csv"
+        capsys.readouterr()
+        code = main([
+            "experiment", "--preset", "balance", "--config", "1",
+            "--seed", "1", "--out", str(report),
+            "--train", str(train), "--test", str(balance_splits / "test.dat"),
+        ])
+        assert code == 2
+        assert_one_line_error(
+            capsys, "experiment", f"[Errno 2] No such file or directory: '{train}'"
         )
         assert not report.exists()

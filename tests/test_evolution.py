@@ -291,8 +291,7 @@ def _reference_node_links(rng, input_count, weight_interval, link_density):
 
 
 def _reference_add_node(net, rng, params):
-    lo_n, hi_n = params.node_op_count_range
-    wanted = int(rng.integers(lo_n, hi_n + 1))
+    wanted = int(rng.integers(1, 3))
     add = min(wanted, params.max_hidden - net.hidden_count)
     if add <= 0:
         return net
@@ -317,8 +316,7 @@ def _reference_add_node(net, rng, params):
 
 
 def _reference_delete_node(net, rng, params):
-    lo, hi = params.node_op_count_range
-    wanted = int(rng.integers(lo, hi + 1))
+    wanted = int(rng.integers(1, 3))
     removable = min(wanted, net.hidden_count - 1)
     if removable <= 0:
         return net
@@ -344,8 +342,7 @@ def _reference_link_pool(net, existing):
 
 
 def _reference_add_connection(net, rng, params):
-    lo_n, hi_n = params.node_op_count_range
-    wanted = int(rng.integers(lo_n, hi_n + 1))
+    wanted = int(rng.integers(1, 3))
     pool = _reference_link_pool(net, existing=False)
     if pool.size == 0:
         return net
@@ -366,8 +363,7 @@ def _reference_add_connection(net, rng, params):
 
 
 def _reference_delete_connection(net, rng, params):
-    lo_n, hi_n = params.node_op_count_range
-    wanted = int(rng.integers(lo_n, hi_n + 1))
+    wanted = int(rng.integers(1, 3))
     pool = _reference_link_pool(net, existing=True)
     if pool.size == 0:
         return net
@@ -445,12 +441,11 @@ class TestOperatorsMatchReference:
         max_hidden=st.integers(1, 6),
         link_density=st.sampled_from([0.1, 0.5, 1.0]),
         coefficient_density=st.sampled_from([0.0, 0.5, 1.0]),
-        most=st.integers(1, 6),
         room=st.integers(0, 3),
     )
     def test_bit_identical_child_and_generator_state(
         self, op, net_seed, op_seed, input_count, class_count, max_hidden,
-        link_density, coefficient_density, most, room,
+        link_density, coefficient_density, room,
     ):
         net_rng = np.random.default_rng(net_seed)
         net = random_network(net_rng, input_count, max_hidden, class_count,
@@ -461,8 +456,7 @@ class TestOperatorsMatchReference:
         net.coefficient_mask[dropped] = False
         before = {name: getattr(net, name).copy() for name in NET_ARRAYS}
         # room > 0 leaves add_node space above the largest network drawn
-        params = EaParams(gen=1, max_hidden=max_hidden + room, node_op_count_range=(1, most),
-                          link_density=link_density)
+        params = EaParams(gen=1, max_hidden=max_hidden + room)
 
         expected_rng = np.random.default_rng(op_seed)
         got_rng = np.random.default_rng(op_seed)
@@ -510,13 +504,12 @@ class TestStructuralMutationMatchesReference:
         max_hidden=st.integers(1, 6),
         link_density=st.sampled_from([0.1, 0.5, 1.0]),
         coefficient_density=st.sampled_from([0.0, 0.5, 1.0]),
-        most=st.integers(1, 4),
         room=st.integers(0, 3),
         fitness_value=st.floats(0.0, 0.5),
     )
     def test_bit_identical_child_and_generator_state(
         self, order, net_seed, op_seed, input_count, class_count, max_hidden,
-        link_density, coefficient_density, most, room, fitness_value,
+        link_density, coefficient_density, room, fitness_value,
     ):
         net_rng = np.random.default_rng(net_seed)
         net = random_network(net_rng, input_count, max_hidden, class_count,
@@ -527,8 +520,7 @@ class TestStructuralMutationMatchesReference:
         before = {name: getattr(net, name).copy() for name in NET_ARRAYS}
         # T = 1 - fitness >= 0.5, so most children pass through several operators
         ind = Individual(net, fitness_value, count_connections(net))
-        params = EaParams(gen=1, max_hidden=max_hidden + room, node_op_count_range=(1, most),
-                          link_density=link_density, structural_ops=tuple(order))
+        params = EaParams(gen=1, max_hidden=max_hidden + room, structural_ops=tuple(order))
 
         expected_rng = np.random.default_rng(op_seed)
         got_rng = np.random.default_rng(op_seed)
@@ -555,7 +547,7 @@ class TestSample:
 
     @settings(max_examples=600, deadline=None)
     @given(
-        size=st.sampled_from([1, 2, 3]),
+        size=st.integers(1, evolution.MAX_OP_COUNT),
         n=st.integers(1, 10**4),
         seed=st.integers(0, 2**32 - 1),
         half_used=st.booleans(),
@@ -655,25 +647,27 @@ class TestRunEvolution:
         assert final[0] is best_before
         assert counter.total == 100
 
-    def test_forced_stagnation_stops_after_window(self, rng, toy_train):
+    def test_forced_stagnation_stops_after_window(self, rng, toy_train, monkeypatch):
         # identical individuals, zero variances, no structural operators: the
         # population can never improve, so the stop fires after the window
+        monkeypatch.setattr(evolution, "ALPHA_MIN", 0.0)
         params = params_for(
             toy_train, gen=100, pop_size=10, gen_without_improving=20, structural_ops=()
         )
         net = random_network(rng, 2, 3, 2)
         ind = evaluate_individual(net, toy_train, EvalCounter())
         pop = [Individual(ind.net.clone(), ind.fitness, ind.connections) for _ in range(10)]
-        state = MutationState(0.0, 0.0, alpha_min=0.0)
+        state = MutationState(0.0, 0.0)
         final, executed = run_evolution(pop, state, rng, params, toy_train, EvalCounter())
         assert executed == 20
 
-    def test_noop_generation_keeps_population_content(self, rng, toy_train):
+    def test_noop_generation_keeps_population_content(self, rng, toy_train, monkeypatch):
+        monkeypatch.setattr(evolution, "ALPHA_MIN", 0.0)
         params = params_for(toy_train, gen=5, pop_size=10, structural_ops=())
         net = random_network(rng, 2, 3, 2)
         ind = evaluate_individual(net, toy_train, EvalCounter())
         pop = [Individual(ind.net.clone(), ind.fitness, ind.connections) for _ in range(10)]
-        state = MutationState(0.0, 0.0, alpha_min=0.0)
+        state = MutationState(0.0, 0.0)
         reference = serialize_network(pop[0].net)
         final, _ = run_evolution(pop, state, rng, params, toy_train, EvalCounter(),
                                  early_stopping=False)
