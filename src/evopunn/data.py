@@ -2,8 +2,9 @@
 
 Pipeline: CSV + schema -> RawDataset -> imputation -> nominal-to-indicator
 encoding -> per-feature rescaling into [1, 2] -> ProcessedDataset, plus a
-seeded stratified holdout split. Statistics for imputation and rescaling are
-always computed over the full dataset, before any splitting.
+seeded stratified holdout split. A RawDataset holds its table by column, the
+layout that imputation and encoding read. Statistics for imputation and
+rescaling are always computed over the full dataset, before any splitting.
 """
 
 from __future__ import annotations
@@ -33,15 +34,11 @@ class ColumnSpec:
 @dataclass
 class RawDataset:
     columns: list[ColumnSpec]
-    rows: list[list]  # cell = float | str | None (missing)
-
-    @property
-    def class_index(self) -> int:
-        return next(i for i, c in enumerate(self.columns) if c.kind == "class")
+    cells: list[list]  # cells[j] is column j in row order; cell = float | str | None (missing)
 
     @property
     def class_labels(self) -> list[str]:
-        return list(self.columns[self.class_index].vocabulary)
+        return next(list(c.vocabulary) for c in self.columns if c.kind == "class")
 
 
 @dataclass
@@ -126,11 +123,16 @@ def load_table(path, schema: list[ColumnSpec]) -> RawDataset:
     Missing cells are marked "?" or left empty. Cell values in nominal and
     class columns must belong to the declared vocabulary when one is given;
     otherwise the vocabulary is inferred in order of first appearance.
+    Cells are parsed in file order, so the first bad cell of the file is the
+    one reported.
     """
     class_columns = [c for c in schema if c.kind == "class"]
     if len(class_columns) != 1:
         raise SchemaError(f"schema must declare exactly one class column, found {len(class_columns)}")
-    columns = [replace(c, vocabulary=list(c.vocabulary) if c.vocabulary else None) for c in schema]
+    columns = [replace(c, vocabulary=None if c.kind == "continuous" else list(c.vocabulary or ()))
+               for c in schema]
+    declared = [bool(c.vocabulary) for c in schema]
+    cells: list[list] = [[] for _ in columns]
 
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -146,43 +148,33 @@ def load_table(path, schema: list[ColumnSpec]) -> RawDataset:
             if cell.strip() != col.name:
                 raise ParseError(f"{path}: header column {cell.strip()!r} != schema {col.name!r}")
 
-        declared = {id(c): c.vocabulary is not None for c in columns}
-        rows = []
         for lineno, raw_row in enumerate(reader, start=2):
             if len(raw_row) != len(columns):
                 raise ParseError(f"{path}:{lineno}: row has {len(raw_row)} cells, expected {len(columns)}")
-            row = []
-            for cell, col in zip(raw_row, columns):
+            for cell, col, column, fixed in zip(raw_row, columns, cells, declared):
                 cell = cell.strip()
                 if cell in MISSING_MARKERS:
                     if col.kind == "class":
                         raise DataError(f"{path}:{lineno}: class value is missing")
-                    row.append(None)
-                    continue
-                if col.kind == "continuous":
+                    column.append(None)
+                elif col.kind == "continuous":
                     try:
-                        row.append(float(cell))
+                        column.append(float(cell))
                     except ValueError:
                         raise ParseError(
                             f"{path}:{lineno}: {cell!r} is not numeric for column {col.name!r}"
                         ) from None
                 else:
-                    if declared[id(col)]:
-                        if cell not in col.vocabulary:
+                    if cell not in col.vocabulary:
+                        if fixed:
                             raise SchemaError(
                                 f"{path}:{lineno}: value {cell!r} not in vocabulary of {col.name!r}"
                             )
-                    else:
-                        if col.vocabulary is None:
-                            col.vocabulary = []
-                        if cell not in col.vocabulary:
-                            col.vocabulary.append(cell)
-                    row.append(cell)
-            rows.append(row)
+                        col.vocabulary.append(cell)
+                    column.append(cell)
 
-    dataset = RawDataset(columns, rows)
-    class_col = columns[dataset.class_index]
-    if class_col.vocabulary is None or len(class_col.vocabulary) < 2:
+    dataset = RawDataset(columns, cells)
+    if len(dataset.class_labels) < 2:
         raise DataError(f"{path}: fewer than two class labels present")
     return dataset
 
@@ -191,15 +183,12 @@ def impute_missing(raw: RawDataset) -> RawDataset:
     """Fill missing cells: continuous columns with the column mean, nominal
     columns with the column mode (ties resolved by vocabulary order).
     Statistics use every row of the dataset."""
-    filled_columns = [replace(c, vocabulary=list(c.vocabulary) if c.vocabulary else None)
-                      for c in raw.columns]
-    new_rows = [list(r) for r in raw.rows]
-    for idx, col in enumerate(filled_columns):
-        cells = [r[idx] for r in new_rows]
-        missing = [i for i, v in enumerate(cells) if v is None]
-        if not missing:
+    filled = []
+    for col, column in zip(raw.columns, raw.cells):
+        if None not in column:
+            filled.append(list(column))
             continue
-        present = [v for v in cells if v is not None]
+        present = [v for v in column if v is not None]
         if not present:
             raise DataError(f"column {col.name!r} has no values at all")
         if col.kind == "continuous":
@@ -210,9 +199,8 @@ def impute_missing(raw: RawDataset) -> RawDataset:
                 counts[v] += 1
             best = max(counts.values())
             fill = next(v for v in col.vocabulary if counts[v] == best)
-        for i in missing:
-            new_rows[i][idx] = fill
-    return RawDataset(filled_columns, new_rows)
+        filled.append([fill if v is None else v for v in column])
+    return RawDataset(raw.columns, filled)
 
 
 def encode_nominal(raw: RawDataset):
@@ -224,30 +212,25 @@ def encode_nominal(raw: RawDataset):
 
     Returns (matrix, labels, feature_names, class_names).
     """
-    n = len(raw.rows)
     feature_names: list[str] = []
     columns_out: list[np.ndarray] = []
-    class_idx = raw.class_index
-    class_vocab = raw.columns[class_idx].vocabulary
-    labels = np.empty(n, dtype=np.int64)
-
-    for idx, col in enumerate(raw.columns):
-        cells = [r[idx] for r in raw.rows]
-        if any(v is None for v in cells):
+    for col, column in zip(raw.columns, raw.cells):
+        if None in column:
             raise ValueError(f"column {col.name!r} still has missing values; impute first")
         if col.kind == "class":
-            index_of = {v: i for i, v in enumerate(class_vocab)}
-            labels[:] = [index_of[v] for v in cells]
+            index_of = {v: i for i, v in enumerate(col.vocabulary)}
+            labels = np.array([index_of[v] for v in column], dtype=np.int64)
+            class_names = list(col.vocabulary)
         elif col.kind == "continuous":
             feature_names.append(col.name)
-            columns_out.append(np.asarray(cells, dtype=float))
+            columns_out.append(np.asarray(column, dtype=float))
         else:
             for value in col.vocabulary:
                 feature_names.append(f"{col.name}={value}")
-                columns_out.append(np.asarray([1.0 if v == value else 0.0 for v in cells]))
+                columns_out.append(np.asarray([1.0 if v == value else 0.0 for v in column]))
 
-    matrix = np.column_stack(columns_out) if columns_out else np.empty((n, 0))
-    return matrix, labels, feature_names, list(class_vocab)
+    matrix = np.column_stack(columns_out) if columns_out else np.empty((len(labels), 0))
+    return matrix, labels, feature_names, class_names
 
 
 def fit_apply_normalization(matrix: np.ndarray) -> tuple[np.ndarray, NormalizationParams]:
@@ -375,11 +358,11 @@ def load_dataset(path) -> ProcessedDataset:
     value that is not finite and strictly positive, raises ParseError."""
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or not lines[0].startswith(DATASET_FORMAT):
+    fmt, _, version = lines[0].partition(" ") if lines else ("", "", "")
+    if fmt != DATASET_FORMAT:
         raise ParseError(f"{path}: not a recognized dataset file")
-    version = lines[0].split()[1]
-    if int(version) != DATASET_VERSION:
-        raise ParseError(f"{path}: unsupported dataset version {version}")
+    if version != str(DATASET_VERSION):
+        raise ParseError(f"{path}: unsupported dataset version {version!r}")
 
     header: dict[str, str] = {}
     data_start = None
@@ -392,9 +375,12 @@ def load_dataset(path) -> ProcessedDataset:
     if data_start is None:
         raise ParseError(f"{path}: missing data section")
 
-    k = int(header["k"])
-    class_count = int(header["L"])
-    n = int(header["N"])
+    for key in ("k", "L", "N", "classes"):
+        if key not in header:
+            raise ParseError(f"{path}: header lacks {key!r}")
+        if key != "classes" and not header[key].isdecimal():
+            raise ParseError(f"{path}: header {key!r} is {header[key]!r}, not a count")
+    k, class_count, n = (int(header[key]) for key in ("k", "L", "N"))
     feature_names = header["features"].split(",") if header.get("features") else []
     class_names = header["classes"].split(",")
     if len(class_names) != class_count or len(feature_names) != k:

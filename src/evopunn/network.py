@@ -297,14 +297,24 @@ def serialize_network(net: PunnNetwork, **metadata) -> str:
     return json.dumps(network_document(net, **metadata), indent=2)
 
 
+def _field(mapping, key: str, where: str):
+    """mapping[key] of a parsed model document; ValueError naming the key
+    when it is absent or the mapping is not a JSON object."""
+    if not isinstance(mapping, dict) or key not in mapping:
+        raise ValueError(f"{where} lacks {key!r}")
+    return mapping[key]
+
+
 def network_from_document(doc: dict) -> PunnNetwork:
+    if not isinstance(doc, dict):
+        raise ValueError("model document is not a JSON object")
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError("not a recognized model document")
     if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {doc.get('version')!r}")
-    k = int(doc["input_count"])
-    class_count = int(doc["class_count"])
-    nodes = doc["hidden_nodes"]
+    k = int(_field(doc, "input_count", "model document"))
+    class_count = int(_field(doc, "class_count", "model document"))
+    nodes = _field(doc, "hidden_nodes", "model document")
     m = len(nodes)
     outputs = class_count - 1
     exponents = np.zeros((m, k))
@@ -318,11 +328,12 @@ def network_from_document(doc: dict) -> PunnNetwork:
     coefficients = np.zeros((outputs, m))
     coefficient_mask = np.zeros((outputs, m), dtype=bool)
     biases = np.zeros(outputs)
-    if len(doc["outputs"]) != outputs:
+    output_docs = _field(doc, "outputs", "model document")
+    if len(output_docs) != outputs:
         raise ValueError("output node count disagrees with class count")
-    for l, out in enumerate(doc["outputs"]):
-        biases[l] = out["bias"]
-        for j, c in out["links"]:
+    for l, out in enumerate(output_docs):
+        biases[l] = _field(out, "bias", f"output {l}")
+        for j, c in _field(out, "links", f"output {l}"):
             if not 0 <= j < m:
                 raise ValueError(f"hidden index {j} out of range")
             coefficients[l, j] = c

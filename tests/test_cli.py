@@ -147,6 +147,14 @@ class TestTrainAndPredict:
         assert code == 2
         assert_one_line_error(capsys, "predict", f"[Errno 2] No such file or directory: '{model}'")
 
+    def test_model_without_weights_is_one_line(self, balance_splits, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"format": "punn-model", "version": 1}))
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model), "--data", str(balance_splits / "test.dat")])
+        assert code == 2
+        assert_one_line_error(capsys, "predict", "model document lacks 'input_count'")
+
     def test_train_determinism(self, balance_splits, tmp_path, capsys):
         texts = []
         for name in ("a.json", "b.json"):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,7 @@ class TestLoadTable:
         schema = load_schema(write(tmp_path, "s", BASIC_SCHEMA))
         data = write(tmp_path, "d.csv", "a,colour,class\n1,red,x\n2,blue,y\n3,red,x\n")
         raw = load_table(data, schema)
-        assert len(raw.rows) == 3
+        assert [len(column) for column in raw.cells] == [3, 3, 3]
         assert raw.class_labels == ["x", "y"]
         assert raw.columns[1].vocabulary == ["red", "blue"]
 
@@ -42,8 +44,8 @@ class TestLoadTable:
         schema = load_schema(write(tmp_path, "s", BASIC_SCHEMA))
         data = write(tmp_path, "d.csv", "a,colour,class\n?,red,x\n2,,y\n")
         raw = load_table(data, schema)
-        assert raw.rows[0][0] is None
-        assert raw.rows[1][1] is None
+        assert raw.cells[0][0] is None
+        assert raw.cells[1][1] is None
 
     def test_column_count_mismatch(self, tmp_path):
         schema = load_schema(write(tmp_path, "s", BASIC_SCHEMA))
@@ -69,6 +71,14 @@ class TestLoadTable:
         with pytest.raises(ParseError, match="numeric"):
             load_table(data, schema)
 
+    def test_first_bad_cell_in_file_order(self, tmp_path):
+        # line 2 is bad in its last feature column, line 3 in its first: a
+        # parse that went column by column would report line 3
+        schema = load_schema(write(tmp_path, "s", "a,continuous\nb,continuous\nclass,class\n"))
+        data = write(tmp_path, "d.csv", "a,b,class\n1,xyz,x\nabc,2,y\n")
+        with pytest.raises(ParseError, match=r"d\.csv:2: 'xyz' is not numeric for column 'b'$"):
+            load_table(data, schema)
+
     def test_single_class_rejected(self, tmp_path):
         schema = load_schema(write(tmp_path, "s", BASIC_SCHEMA))
         data = write(tmp_path, "d.csv", "a,colour,class\n1,red,x\n2,red,x\n")
@@ -85,17 +95,17 @@ class TestImpute:
     def test_continuous_mean(self, tmp_path):
         raw = self.make_raw(tmp_path, "1,red,x\n?,red,y\n3,red,x\n")
         filled = impute_missing(raw)
-        assert filled.rows[1][0] == pytest.approx(2.0)
+        assert filled.cells[0][1] == pytest.approx(2.0)
 
     def test_nominal_mode(self, tmp_path):
         raw = self.make_raw(tmp_path, "1,a,x\n1,a,y\n1,b,x\n1,?,y\n")
         filled = impute_missing(raw)
-        assert filled.rows[3][1] == "a"
+        assert filled.cells[1][3] == "a"
 
     def test_mode_tie_breaks_by_vocabulary_order(self, tmp_path):
         raw = self.make_raw(tmp_path, "1,a,x\n1,b,y\n1,?,x\n")
         filled = impute_missing(raw)
-        assert filled.rows[2][1] == "a"  # first appearance wins the tie
+        assert filled.cells[1][2] == "a"  # first appearance wins the tie
 
     def test_fully_missing_column(self, tmp_path):
         raw = self.make_raw(tmp_path, "?,red,x\n?,red,y\n")
@@ -105,7 +115,7 @@ class TestImpute:
     def test_original_untouched(self, tmp_path):
         raw = self.make_raw(tmp_path, "1,red,x\n?,red,y\n")
         impute_missing(raw)
-        assert raw.rows[1][0] is None
+        assert raw.cells[0][1] is None
 
 
 class TestEncode:
@@ -241,6 +251,37 @@ class TestPipeline:
         ds = preprocess_file(csv_path, schema_path)
         assert np.all(ds.patterns >= 1.0) and np.all(ds.patterns <= 2.0)
 
+    def test_hand_computed_table(self, tmp_path):
+        # x misses one cell (mean 3.0); colour declares its values out of
+        # first-appearance order and misses one cell (mode red); size infers
+        # its values and misses one cell (mode small); class infers b, a, c
+        schema = write(
+            tmp_path, "s",
+            "x,continuous\ncolour,nominal,blue|red|green\nsize,nominal\nclass,class\n",
+        )
+        data = write(
+            tmp_path, "d.csv",
+            "x,colour,size,class\n1,red,small,b\n?,green,large,a\n3,blue,small,c\n"
+            "5,red,,a\n2,red,large,b\n4,,small,c\n",
+        )
+        ds = preprocess_file(data, schema)
+        assert ds.feature_names == [
+            "x", "colour=blue", "colour=red", "colour=green", "size=small", "size=large",
+        ]
+        assert ds.class_names == ["b", "a", "c"]
+        assert ds.labels.dtype == np.int64
+        assert ds.labels.tolist() == [0, 1, 2, 1, 0, 2]
+        assert ds.patterns.tolist() == [
+            [1.0, 1.0, 2.0, 1.0, 2.0, 1.0],
+            [1.5, 1.0, 1.0, 2.0, 1.0, 2.0],
+            [1.5, 2.0, 1.0, 1.0, 2.0, 1.0],
+            [2.0, 1.0, 2.0, 1.0, 2.0, 1.0],
+            [1.25, 1.0, 2.0, 1.0, 1.0, 2.0],
+            [1.75, 1.0, 2.0, 1.0, 2.0, 1.0],
+        ]
+        assert ds.normalization.mins.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        assert ds.normalization.maxs.tolist() == [5.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+
     def test_deterministic_given_inputs(self, tmp_path):
         csv_path, schema_path = write_balance_scale(tmp_path)
         a = preprocess_file(csv_path, schema_path)
@@ -281,6 +322,21 @@ class TestDatasetFile:
         loaded = load_dataset(path)
         assert loaded.patterns.tolist() == [[1.0, 2.0], [1.5, 1e-300], [2.0, 1.25]]
         assert loaded.labels.tolist() == [0, 1, 1]
+
+    @pytest.mark.parametrize("header,message", [
+        ("punn-dataset\n", "unsupported dataset version ''"),
+        ("punn-dataset one\n" + DAT_HEADER.partition("\n")[2], "unsupported dataset version 'one'"),
+        (DAT_HEADER.replace("k 2\n", ""), "header lacks 'k'"),
+        (DAT_HEADER.replace("L 2\n", ""), "header lacks 'L'"),
+        (DAT_HEADER.replace("N 3\n", ""), "header lacks 'N'"),
+        (DAT_HEADER.replace("classes no,yes\n", ""), "header lacks 'classes'"),
+        (DAT_HEADER.replace("N 3\n", "N three\n"), "header 'N' is 'three', not a count"),
+        (DAT_HEADER.replace("k 2\n", "k -2\n"), "header 'k' is '-2', not a count"),
+    ], ids=["no-version", "bad-version", "no-k", "no-L", "no-N", "no-classes", "bad-N", "negative-k"])
+    def test_rejects_a_malformed_header(self, tmp_path, header, message):
+        path = write(tmp_path, "bad.dat", header + "1.0,2.0,0\n1.5,1.5,1\n2.0,1.25,1\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_dataset(path)
 
     @pytest.mark.parametrize("value", ["0.0", "-0.0", "-1.5", "nan", "inf", "-inf"])
     def test_rejects_values_outside_the_log_domain(self, tmp_path, value):

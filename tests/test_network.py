@@ -426,3 +426,28 @@ class TestSerialization:
     def test_rejects_foreign_document(self):
         with pytest.raises(ValueError):
             deserialize_network(json.dumps({"format": "something-else", "version": 1}))
+
+    @pytest.mark.parametrize("key", ["input_count", "class_count", "hidden_nodes", "outputs"])
+    def test_missing_key_is_named(self, rng, key):
+        doc = network_document(random_network(rng, 3, 2, 3))
+        del doc[key]
+        with pytest.raises(ValueError, match=f"^model document lacks '{key}'$"):
+            deserialize_network(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["bias", "links"])
+    def test_output_missing_key_is_named(self, rng, key):
+        doc = network_document(random_network(rng, 3, 2, 3))
+        del doc["outputs"][1][key]
+        with pytest.raises(ValueError, match=f"^output 1 lacks '{key}'$"):
+            deserialize_network(json.dumps(doc))
+
+    def test_output_that_is_not_an_object(self, rng):
+        doc = network_document(random_network(rng, 3, 2, 3))
+        doc["outputs"][0] = [0.5, []]
+        with pytest.raises(ValueError, match="^output 0 lacks 'bias'$"):
+            deserialize_network(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["[]", "3", '"punn-model"', "null"])
+    def test_document_that_is_not_an_object(self, text):
+        with pytest.raises(ValueError, match="^model document is not a JSON object$"):
+            deserialize_network(text)
