@@ -404,8 +404,14 @@ def load_dataset(path) -> ProcessedDataset:
         cells = line.split(",")
         if len(cells) != k + 1:
             raise ParseError(f"{path}: data row {r} has {len(cells)} cells, expected {k + 1}")
-        patterns[r] = [float(c) for c in cells[:k]]
-        labels[r] = int(cells[k])
+        try:
+            patterns[r] = [float(c) for c in cells[:k]]
+        except ValueError:
+            raise ParseError(f"{path}: data row {r} has a value that is not a number") from None
+        try:
+            labels[r] = int(cells[k])
+        except ValueError:
+            raise ParseError(f"{path}: data row {r} label {cells[k]!r} is not an integer") from None
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= class_count:
         raise ParseError(f"{path}: label index out of range")
     # product units take the log of every input: outside (0, inf) it is NaN or -inf

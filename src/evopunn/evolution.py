@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import ClassVar
 
 import numpy as np
@@ -90,9 +90,9 @@ class EvalCounter:
 
 @dataclass
 class Individual:
-    """A network with its cached score. Treated as immutable once evaluated:
-    mutation operators build new individuals instead of editing these, so an
-    instance may safely appear in several population lists."""
+    """A network with its cached score. Neither it nor its network's arrays
+    are written once built, so an instance may appear in several population
+    lists, and a population handed to a caller stays as it was handed out."""
     net: PunnNetwork
     fitness: float
     connections: int
@@ -179,9 +179,9 @@ def parametric_mutation(
         net.input_count,
         net.class_count,
         exponents,
-        net.exponent_mask.copy(),
+        net.exponent_mask,
         coefficients,
-        net.coefficient_mask.copy(),
+        net.coefficient_mask,
         biases,
     )
     candidate = evaluate_individual(candidate_net, train, counter, ind.origin)
@@ -384,12 +384,6 @@ _OPERATORS = {
 }
 
 
-@lru_cache(maxsize=None)
-def _operator_sequence(names: tuple[str, ...]) -> tuple:
-    """The operators named, in order; resolved once per structural_ops value."""
-    return tuple(_OPERATORS[name] for name in names)
-
-
 def structural_mutation(
     ind: Individual, rng: np.random.Generator, params: EaParams
 ) -> PunnNetwork:
@@ -402,19 +396,19 @@ def structural_mutation(
     The parent's arrays are copied at most once: the first operator that
     changes something builds the child, later connection edits write into
     it, and later node-count changes resize it."""
-    ops = _operator_sequence(params.structural_ops)
+    names = params.structural_ops
     parent = ind.net
-    if not ops:
+    if not names:
         return parent
     t = temperature(ind)
     net = parent
     fired = False
-    for op in ops:
+    for name in names:
         if rng.random() < t:
             fired = True
-            net = op(net, rng, params, net is not parent)
+            net = _OPERATORS[name](net, rng, params, net is not parent)
     if not fired:
-        net = ops[int(rng.integers(len(ops)))](net, rng, params)
+        net = _OPERATORS[names[int(rng.integers(len(names)))]](net, rng, params)
     return net
 
 
@@ -478,6 +472,7 @@ def run_evolution(
     After each generation, on_generation (if given) is called as
     on_generation(stage, gen_index, population, counter), with gen_index
     counting from 1 within this call and population sorted best first.
+    Neither that list nor the one passed in is written afterwards.
 
     Returns (final population, generations executed); the best individual is
     the first element of the returned population.

@@ -305,6 +305,26 @@ def _field(mapping, key: str, where: str):
     return mapping[key]
 
 
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} is not a list")
+    return value
+
+
+def _links(links, where: str) -> list:
+    """The [index, weight] pairs of a node's or an output's link list;
+    ValueError naming where when the list or an entry has the wrong shape."""
+    for entry in _list(links, f"{where}: links"):
+        if not (isinstance(entry, list) and len(entry) == 2):
+            raise ValueError(f"{where}: link {entry!r} is not an [index, weight] pair")
+        index, weight = entry
+        if type(index) is not int:
+            raise ValueError(f"{where}: link index {index!r} is not an integer")
+        if type(weight) not in (int, float):
+            raise ValueError(f"{where}: link weight {weight!r} is not a number")
+    return links
+
+
 def network_from_document(doc: dict) -> PunnNetwork:
     if not isinstance(doc, dict):
         raise ValueError("model document is not a JSON object")
@@ -314,13 +334,13 @@ def network_from_document(doc: dict) -> PunnNetwork:
         raise ValueError(f"unsupported model version {doc.get('version')!r}")
     k = int(_field(doc, "input_count", "model document"))
     class_count = int(_field(doc, "class_count", "model document"))
-    nodes = _field(doc, "hidden_nodes", "model document")
+    nodes = _list(_field(doc, "hidden_nodes", "model document"), "hidden_nodes")
     m = len(nodes)
     outputs = class_count - 1
     exponents = np.zeros((m, k))
     exponent_mask = np.zeros((m, k), dtype=bool)
     for j, links in enumerate(nodes):
-        for i, w in links:
+        for i, w in _links(links, f"hidden node {j}"):
             if not 0 <= i < k:
                 raise ValueError(f"input index {i} out of range")
             exponents[j, i] = w
@@ -328,12 +348,12 @@ def network_from_document(doc: dict) -> PunnNetwork:
     coefficients = np.zeros((outputs, m))
     coefficient_mask = np.zeros((outputs, m), dtype=bool)
     biases = np.zeros(outputs)
-    output_docs = _field(doc, "outputs", "model document")
+    output_docs = _list(_field(doc, "outputs", "model document"), "outputs")
     if len(output_docs) != outputs:
         raise ValueError("output node count disagrees with class count")
     for l, out in enumerate(output_docs):
         biases[l] = _field(out, "bias", f"output {l}")
-        for j, c in _field(out, "links", f"output {l}"):
+        for j, c in _links(_field(out, "links", f"output {l}"), f"output {l}"):
             if not 0 <= j < m:
                 raise ValueError(f"hidden index {j} out of range")
             coefficients[l, j] = c

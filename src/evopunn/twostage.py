@@ -33,11 +33,11 @@ STAGE_A = "stage1-a"
 STAGE_B = "stage1-b"
 
 
-@dataclass
+@dataclass(frozen=True)
 class TwoStageHistory:
     stage1_generations: int
-    merged_population: list[Individual]  # snapshot taken right after the merge
-    stage2_generations: int = 0
+    merged_population: list[Individual]  # stage two's initial population
+    stage2_generations: int
 
     @property
     def total_generations(self) -> int:
@@ -63,15 +63,11 @@ def _require_even(pop_size: int) -> None:
 def merge_populations(
     pop_a: list[Individual], pop_b: list[Individual]
 ) -> list[Individual]:
-    """Best half of each population, tagged with its source, sorted together."""
+    """Best half of each sorted population, sorted together; writes neither."""
     if len(pop_a) != len(pop_b):
         raise ValueError("populations must have equal size")
     _require_even(len(pop_a))
     half = len(pop_a) // 2
-    for ind in pop_a[:half]:
-        ind.origin = STAGE_A
-    for ind in pop_b[:half]:
-        ind.origin = STAGE_B
     merged = pop_a[:half] + pop_b[:half]
     sort_population(merged)
     return merged
@@ -91,8 +87,9 @@ def run_two_stage(
     Three independent substreams are derived from the caller's generator (one
     per stage-one population, one for stage two), so the stage-one runs could
     execute in parallel without changing the outcome. Stage one runs
-    stage1_length(gen) generations per population; stage two applies the
-    standard loop with early stopping to the merged population as it is.
+    stage1_length(gen) generations per population from seeds tagged with its
+    label, which every descendant inherits; stage two applies the standard
+    loop with early stopping to the merged population as it is.
     """
     params.validate()
     _require_even(params.pop_size)
@@ -105,7 +102,8 @@ def run_two_stage(
     halves = []
     for cap, stream, label in ((neu, rng_a, STAGE_A), (final_cap, rng_b, STAGE_B)):
         stage_params = replace(params, max_hidden=cap, gen=stage1)
-        population = initialize_population(stream, stage_params, train, counter)
+        seeds = initialize_population(stream, stage_params, train, counter)
+        population = [replace(ind, origin=label) for ind in seeds]
         state = MutationState(stage_params.alpha1, stage_params.alpha2)
         population, _ = run_evolution(
             population, state, stream, stage_params, train, counter,
@@ -114,16 +112,13 @@ def run_two_stage(
         halves.append(population)
 
     merged = merge_populations(halves[0], halves[1])
-    history = TwoStageHistory(stage1, list(merged))
-
     stage2_params = replace(params, max_hidden=final_cap)
     state = MutationState(stage2_params.alpha1, stage2_params.alpha2)
     final_population, executed = run_evolution(
         merged, state, rng_stage2, stage2_params, train, counter,
         early_stopping=True, on_generation=on_generation, stage="stage2",
     )
-    history.stage2_generations = executed
-    return final_population[0], counter, history
+    return final_population[0], counter, TwoStageHistory(stage1, merged, executed)
 
 
 def expected_evaluations(pop_size: int, gen: int) -> dict[str, int]:

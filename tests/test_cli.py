@@ -155,6 +155,16 @@ class TestTrainAndPredict:
         assert code == 2
         assert_one_line_error(capsys, "predict", "model document lacks 'input_count'")
 
+    def test_model_of_the_wrong_shape_is_one_line(self, balance_splits, tmp_path, capsys):
+        doc = json.loads(serialize_network(build_net(4, 3, [{0: 1.0}], [(0.0, {0: 1.0})] * 2)))
+        doc["hidden_nodes"] = 5
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model), "--data", str(balance_splits / "test.dat")])
+        assert code == 2
+        assert_one_line_error(capsys, "predict", "hidden_nodes is not a list")
+
     def test_train_determinism(self, balance_splits, tmp_path, capsys):
         texts = []
         for name in ("a.json", "b.json"):

@@ -338,6 +338,19 @@ class TestDatasetFile:
         with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("row,message", [
+        ("1.0,x,0", "data row 1 has a value that is not a number"),
+        (",1.5,1", "data row 1 has a value that is not a number"),
+        ("1.0,0x10,1", "data row 1 has a value that is not a number"),
+        ("1.0,1.5,1.5", "data row 1 label '1.5' is not an integer"),
+        ("1.0,1.5,yes", "data row 1 label 'yes' is not an integer"),
+        ("1.0,1.5,", "data row 1 label '' is not an integer"),
+    ], ids=["letter", "empty-cell", "hex", "fractional-label", "named-label", "empty-label"])
+    def test_rejects_a_cell_that_does_not_parse(self, tmp_path, row, message):
+        path = write(tmp_path, "bad.dat", self.DAT_HEADER + f"1.0,2.0,0\n{row}\n2.0,1.25,1\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_dataset(path)
+
     @pytest.mark.parametrize("value", ["0.0", "-0.0", "-1.5", "nan", "inf", "-inf"])
     def test_rejects_values_outside_the_log_domain(self, tmp_path, value):
         rows = f"1.0,2.0,0\n1.5,{value},1\n2.0,1.25,1\n"

@@ -165,6 +165,33 @@ class TestGenerationCallback:
         ]
         assert events[-1][2] == record.evaluations
 
+    @pytest.mark.parametrize("config_id", ["1star", "1"])
+    def test_nothing_written_after_hand_out(self, toy_train, config_id):
+        """Every list and individual the callback receives, and every array
+        of their networks, reads at the end of the run as it did when first
+        handed out; the merge included."""
+        config = make_config(config_id, neu=2, gen=30, n_runs=1, pop_size=10)
+        handed = []  # (list, its members' ids at hand-out)
+        first_seen = {}  # id -> (individual, its state at first hand-out)
+
+        def state(ind):
+            net = ind.net
+            arrays = (net.exponents, net.exponent_mask, net.coefficients,
+                      net.coefficient_mask, net.biases)
+            return (ind.fitness, ind.connections, ind.origin,
+                    tuple(a.tobytes() for a in arrays))
+
+        def probe(stage, gen_index, population, counter):
+            handed.append((population, [id(ind) for ind in population]))
+            for ind in population:
+                first_seen.setdefault(id(ind), (ind, state(ind)))
+
+        run_single(config, toy_train, toy_train, seed=4, on_generation=probe)
+        changed = [ind for ind, before in first_seen.values() if state(ind) != before]
+        assert len(first_seen) > 100
+        assert changed == []
+        assert all([id(ind) for ind in population] == ids for population, ids in handed)
+
 
 class TestGoldenRun:
     """A fixed seed gives a fixed run. Any change to the order in which the

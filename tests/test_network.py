@@ -447,6 +447,36 @@ class TestSerialization:
         with pytest.raises(ValueError, match="^output 0 lacks 'bias'$"):
             deserialize_network(json.dumps(doc))
 
+    @pytest.mark.parametrize("key", ["hidden_nodes", "outputs"])
+    @pytest.mark.parametrize("value", [5, {"0": []}, "links", None])
+    def test_part_that_is_not_a_list_is_named(self, rng, key, value):
+        doc = network_document(random_network(rng, 3, 2, 3))
+        doc[key] = value
+        with pytest.raises(ValueError, match=f"^{key} is not a list$"):
+            deserialize_network(json.dumps(doc))
+
+    @pytest.mark.parametrize("links, message", [
+        (7, "links is not a list"),
+        ({"0": 1.0}, "links is not a list"),
+        ([0.5], r"link 0\.5 is not an \[index, weight\] pair"),
+        ([[0]], r"link \[0\] is not an \[index, weight\] pair"),
+        ([[0, 1.0, 2.0]], r"link \[0, 1\.0, 2\.0\] is not an \[index, weight\] pair"),
+        ([[0.0, 1.0]], r"link index 0\.0 is not an integer"),
+        ([["0", 1.0]], "link index '0' is not an integer"),
+        ([[True, 1.0]], "link index True is not an integer"),
+        ([[0, None]], "link weight None is not a number"),
+        ([[0, "1.5"]], "link weight '1.5' is not a number"),
+    ])
+    def test_malformed_links_name_their_node_or_output(self, rng, links, message):
+        net = random_network(rng, 3, 2, 3)
+        node = network_document(net)
+        node["hidden_nodes"][net.hidden_count - 1] = links
+        output = network_document(net)
+        output["outputs"][1]["links"] = links
+        for doc, where in ((node, f"hidden node {net.hidden_count - 1}"), (output, "output 1")):
+            with pytest.raises(ValueError, match=f"^{where}: {message}$"):
+                deserialize_network(json.dumps(doc))
+
     @pytest.mark.parametrize("text", ["[]", "3", '"punn-model"', "null"])
     def test_document_that_is_not_an_object(self, text):
         with pytest.raises(ValueError, match="^model document is not a JSON object$"):

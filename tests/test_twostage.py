@@ -49,34 +49,45 @@ class TestExpectedEvaluations:
 
 
 class TestMerge:
-    def fake_population(self, fits, rng):
+    """The merge only selects and sorts: run_two_stage tags stage-one
+    individuals at birth, so the inputs here carry their tags already."""
+
+    def fake_population(self, fits, rng, origin):
         pop = []
         for f in fits:
             net = random_network(rng, 2, 2, 2)
-            pop.append(Individual(net, f, count_connections(net)))
+            pop.append(Individual(net, f, count_connections(net), origin))
         return pop
 
+    @staticmethod
+    def snapshot(population):
+        return [(id(ind), ind.fitness, ind.connections, ind.origin) for ind in population]
+
     def test_merge_takes_best_halves(self, rng):
-        a = self.fake_population([0.9, 0.8, 0.7, 0.6], rng)
-        b = self.fake_population([0.85, 0.75, 0.65, 0.55], rng)
+        a = self.fake_population([0.9, 0.8, 0.7, 0.6], rng, "stage1-a")
+        b = self.fake_population([0.85, 0.75, 0.65, 0.55], rng, "stage1-b")
+        before = self.snapshot(a), self.snapshot(b)
         merged = merge_populations(a, b)
         assert [ind.fitness for ind in merged] == [0.9, 0.85, 0.8, 0.75]
         assert [ind.origin for ind in merged] == ["stage1-a", "stage1-b", "stage1-a", "stage1-b"]
+        assert (self.snapshot(a), self.snapshot(b)) == before
 
     def test_merge_rejects_odd(self, rng):
-        a = self.fake_population([0.9, 0.8, 0.7], rng)
-        b = self.fake_population([0.85, 0.75, 0.65], rng)
+        a = self.fake_population([0.9, 0.8, 0.7], rng, "stage1-a")
+        b = self.fake_population([0.85, 0.75, 0.65], rng, "stage1-b")
         with pytest.raises(ValueError, match="even"):
             merge_populations(a, b)
 
     def test_merge_sorted(self, rng):
-        a = self.fake_population(list(np.linspace(0.9, 0.1, 6)), rng)
-        b = self.fake_population(list(np.linspace(0.95, 0.15, 6)), rng)
+        a = self.fake_population(list(np.linspace(0.9, 0.1, 6)), rng, "stage1-a")
+        b = self.fake_population(list(np.linspace(0.95, 0.15, 6)), rng, "stage1-b")
+        before = self.snapshot(a), self.snapshot(b)
         merged = merge_populations(a, b)
         fits = [ind.fitness for ind in merged]
         assert fits == sorted(fits, reverse=True)
         assert sum(ind.origin == "stage1-a" for ind in merged) == 3
         assert sum(ind.origin == "stage1-b" for ind in merged) == 3
+        assert (self.snapshot(a), self.snapshot(b)) == before
 
 
 class TestRunTwoStage:
