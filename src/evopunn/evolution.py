@@ -38,23 +38,24 @@ ALPHA_MAX = 5.0
 MAX_OP_COUNT = 2  # an operator adds or deletes 1 to MAX_OP_COUNT nodes or links
 ONE_FIFTH_FACTOR = 0.9
 IMPROVEMENT_EPSILON = 1e-9  # a gain this small does not reset the stall counter
+STALL_GENERATIONS = 20  # stalled generations after which early stopping ends a run
 SEEDING_FACTOR = 10  # random networks scored per population slot at initialisation
 
 
-@dataclass
+@dataclass(frozen=True)
 class EaParams:
+    """Engine settings, checked when built, so also by every replace()."""
     gen: int                       # generation budget
     max_hidden: int                # hidden-node cap
     pop_size: int = 1000
     alpha2: float = 1.0            # initial coefficient/bias-noise variance scale
-    gen_without_improving: int = 20
     structural_ops: tuple[str, ...] = STRUCTURAL_OPS
     # fixed by the method, not settable
     alpha1: ClassVar[float] = 0.5  # initial exponent-noise variance scale
     weight_interval: ClassVar[tuple[float, float]] = WEIGHT_INTERVAL
     link_density: ClassVar[float] = 0.5  # input-link probability of a new node
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.gen < 0:
             raise ValueError("gen must be nonnegative")
         if self.pop_size < 1:
@@ -63,8 +64,6 @@ class EaParams:
             raise ValueError("max_hidden must be at least 1")
         if self.alpha2 < 0:
             raise ValueError("alpha2 must be nonnegative")
-        if self.gen_without_improving < 1:
-            raise ValueError("gen_without_improving must be positive")
         unknown = set(self.structural_ops) - set(STRUCTURAL_OPS)
         if unknown:
             raise ValueError(f"unknown structural operators: {sorted(unknown)}")
@@ -120,7 +119,6 @@ def initialize_population(
     rng: np.random.Generator, params: EaParams, train, counter: EvalCounter
 ) -> list[Individual]:
     """Score SEEDING_FACTOR * pop_size random networks; keep the best pop_size."""
-    params.validate()
     if train.pattern_count == 0:
         raise ValueError("training set is empty")
     candidates = [
@@ -176,13 +174,7 @@ def parametric_mutation(
     for arr in (exponents, coefficients, biases):
         np.clip(arr, lo, hi, out=arr)
     candidate_net = PunnNetwork(
-        net.input_count,
-        net.class_count,
-        exponents,
-        net.exponent_mask,
-        coefficients,
-        net.coefficient_mask,
-        biases,
+        exponents, net.exponent_mask, coefficients, net.coefficient_mask, biases
     )
     candidate = evaluate_individual(candidate_net, train, counter, ind.origin)
     state.attempts += 1
@@ -273,16 +265,14 @@ def _add_node(
     coefficients[:, m:] = rng.uniform(lo, hi, (net.output_count, add))
     coefficient_mask[:, m:] = True
     return PunnNetwork(
-        net.input_count, net.class_count, exponents, exponent_mask,
-        coefficients, coefficient_mask, net.biases if owned else net.biases.copy(),
+        exponents, exponent_mask, coefficients, coefficient_mask,
+        net.biases if owned else net.biases.copy(),
     )
 
 
 def _keep_nodes(net: PunnNetwork, kept: list[int], owned: bool) -> PunnNetwork:
     """Child holding the hidden nodes whose indices, ascending, are in kept."""
     return PunnNetwork(
-        net.input_count,
-        net.class_count,
         net.exponents.take(kept, axis=0),
         net.exponent_mask.take(kept, axis=0),
         net.coefficients.take(kept, axis=1),
@@ -467,7 +457,7 @@ def run_evolution(
     """Main loop: evolve until the generation budget runs out or, when early
     stopping is on, until neither the best fitness nor the population mean
     fitness has beaten its historical maximum by more than
-    IMPROVEMENT_EPSILON for gen_without_improving consecutive generations.
+    IMPROVEMENT_EPSILON for STALL_GENERATIONS consecutive generations.
 
     After each generation, on_generation (if given) is called as
     on_generation(stage, gen_index, population, counter), with gen_index
@@ -493,6 +483,6 @@ def run_evolution(
         stalled = 0 if improved else stalled + 1
         if on_generation is not None:
             on_generation(stage, gen_index, population, counter)
-        if early_stopping and stalled >= params.gen_without_improving:
+        if early_stopping and stalled >= STALL_GENERATIONS:
             break
     return population, executed

@@ -188,10 +188,12 @@ def run_experiment(
 
 def summarize(records: list[RunRecord]) -> Summary:
     """Mean and sample standard deviation (n-1) of test accuracy and
-    connection count; a single record has deviation 0 by convention."""
+    connection count; a single record has deviation 0 by convention. Each
+    accuracy is read at the two decimals write_report prints, so the summary
+    equals the report's mean and sd rows."""
     if not records:
         raise ValueError("no records to summarize")
-    ccr = [r.ccr_test for r in records]
+    ccr = [float(f"{r.ccr_test:.2f}") for r in records]
     conn = [float(r.connections) for r in records]
 
     def sd(values):

@@ -33,8 +33,6 @@ MODEL_VERSION = 1
 
 @dataclass
 class PunnNetwork:
-    input_count: int
-    class_count: int
     exponents: np.ndarray         # (m, k) float64, input -> hidden weights
     exponent_mask: np.ndarray     # (m, k) bool
     coefficients: np.ndarray      # (L-1, m) float64, hidden -> output weights
@@ -42,17 +40,23 @@ class PunnNetwork:
     biases: np.ndarray            # (L-1,) float64
 
     @property
+    def input_count(self) -> int:
+        return self.exponents.shape[1]
+
+    @property
     def hidden_count(self) -> int:
         return self.exponents.shape[0]
 
     @property
     def output_count(self) -> int:
-        return self.class_count - 1
+        return self.biases.shape[0]
+
+    @property
+    def class_count(self) -> int:
+        return self.biases.shape[0] + 1
 
     def clone(self) -> "PunnNetwork":
         return PunnNetwork(
-            self.input_count,
-            self.class_count,
             self.exponents.copy(),
             self.exponent_mask.copy(),
             self.coefficients.copy(),
@@ -63,8 +67,8 @@ class PunnNetwork:
     def validate(self, weight_interval: tuple[float, float] | None = None) -> None:
         """Raise ValueError if the structural invariants are broken."""
         m, k = self.exponents.shape
-        if k != self.input_count or m < 1:
-            raise ValueError("exponent matrix shape disagrees with input/hidden counts")
+        if m < 1:
+            raise ValueError("network has no hidden node")
         if self.exponent_mask.shape != (m, k):
             raise ValueError("exponent mask shape mismatch")
         if self.coefficients.shape != (self.output_count, m):
@@ -246,10 +250,7 @@ def random_network(
     coefficients = rng.uniform(lo, hi, (outputs, m))
     coefficient_mask = np.ones((outputs, m), dtype=bool)
     biases = rng.uniform(lo, hi, outputs)
-    return PunnNetwork(
-        input_count, class_count, exponents, exponent_mask,
-        coefficients, coefficient_mask, biases,
-    )
+    return PunnNetwork(exponents, exponent_mask, coefficients, coefficient_mask, biases)
 
 
 def network_document(
@@ -311,18 +312,40 @@ def _list(value, what: str) -> list:
     return value
 
 
-def _links(links, where: str) -> list:
-    """The [index, weight] pairs of a node's or an output's link list;
+def _count(doc: dict, key: str, least: int) -> int:
+    """doc[key] when it is a JSON integer of at least least, bool excluded."""
+    value = _field(doc, key, "model document")
+    if type(value) is not int or value < least:
+        raise ValueError(f"model document: {key} {value!r} is not an integer >= {least}")
+    return value
+
+
+def _finite(value, what: str) -> float:
+    """A JSON number that a double holds finitely, as a float; ValueError
+    naming what otherwise (json also parses NaN, Infinity and 1e400)."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} {value!r} is not a number")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the double range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{what} {value!r} is not finite")
+    return number
+
+
+def _links(links, where: str) -> list[tuple[int, float]]:
+    """The (index, weight) pairs of a node's or an output's link list;
     ValueError naming where when the list or an entry has the wrong shape."""
+    pairs = []
     for entry in _list(links, f"{where}: links"):
         if not (isinstance(entry, list) and len(entry) == 2):
             raise ValueError(f"{where}: link {entry!r} is not an [index, weight] pair")
         index, weight = entry
         if type(index) is not int:
             raise ValueError(f"{where}: link index {index!r} is not an integer")
-        if type(weight) not in (int, float):
-            raise ValueError(f"{where}: link weight {weight!r} is not a number")
-    return links
+        pairs.append((index, _finite(weight, f"{where}: link weight")))
+    return pairs
 
 
 def network_from_document(doc: dict) -> PunnNetwork:
@@ -332,11 +355,10 @@ def network_from_document(doc: dict) -> PunnNetwork:
         raise ValueError("not a recognized model document")
     if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {doc.get('version')!r}")
-    k = int(_field(doc, "input_count", "model document"))
-    class_count = int(_field(doc, "class_count", "model document"))
+    k = _count(doc, "input_count", 1)
+    outputs = _count(doc, "class_count", 2) - 1
     nodes = _list(_field(doc, "hidden_nodes", "model document"), "hidden_nodes")
     m = len(nodes)
-    outputs = class_count - 1
     exponents = np.zeros((m, k))
     exponent_mask = np.zeros((m, k), dtype=bool)
     for j, links in enumerate(nodes):
@@ -352,16 +374,13 @@ def network_from_document(doc: dict) -> PunnNetwork:
     if len(output_docs) != outputs:
         raise ValueError("output node count disagrees with class count")
     for l, out in enumerate(output_docs):
-        biases[l] = _field(out, "bias", f"output {l}")
+        biases[l] = _finite(_field(out, "bias", f"output {l}"), f"output {l}: bias")
         for j, c in _links(_field(out, "links", f"output {l}"), f"output {l}"):
             if not 0 <= j < m:
                 raise ValueError(f"hidden index {j} out of range")
             coefficients[l, j] = c
             coefficient_mask[l, j] = True
-    return PunnNetwork(
-        k, class_count, exponents, exponent_mask,
-        coefficients, coefficient_mask, biases,
-    )
+    return PunnNetwork(exponents, exponent_mask, coefficients, coefficient_mask, biases)
 
 
 def deserialize_network(text: str) -> tuple[PunnNetwork, dict]:

@@ -91,7 +91,6 @@ def run_two_stage(
     label, which every descendant inherits; stage two applies the standard
     loop with early stopping to the merged population as it is.
     """
-    params.validate()
     _require_even(params.pop_size)
     counter = counter if counter is not None else EvalCounter()
     rng_a, rng_b, rng_stage2 = rng.spawn(3)

@@ -26,10 +26,7 @@ def build_net(input_count, class_count, hidden, outputs) -> PunnNetwork:
         for j, c in links.items():
             coefficients[l, j] = c
             coefficient_mask[l, j] = True
-    return PunnNetwork(
-        input_count, class_count, exponents, exponent_mask,
-        coefficients, coefficient_mask, biases,
-    )
+    return PunnNetwork(exponents, exponent_mask, coefficients, coefficient_mask, biases)
 
 
 def make_dataset(patterns, labels, class_count=None) -> ProcessedDataset:

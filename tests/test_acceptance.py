@@ -65,9 +65,7 @@ class TestCriterion1Accounting:
 
     def test_instrumented_two_stage_matches_closed_form(self, rng):
         train = small_train(rng)
-        params = e.EaParams(
-            gen=10, max_hidden=2, pop_size=1000, gen_without_improving=10_000,
-        )
+        params = e.EaParams(gen=10, max_hidden=2, pop_size=1000)
         with criterion("1b (instrumented run matches closed form)"):
             best, counter, history = e.run_two_stage(
                 params, np.random.default_rng(MASTER_SEED), train

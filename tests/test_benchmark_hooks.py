@@ -44,6 +44,15 @@ def test_traced_run_and_layer_sampler(tiny_train, config_id):
         record, _ = experiment.run_single(config, tiny_train, tiny_train, 3, on_generation=log)
     metrics = tracer.layer_metrics()
     assert metrics["network.fitness_calls"] == record.evaluations == log.evaluations
+    # the tracer finds seeding, the stages and the merge only under the module
+    # attributes it rebinds; a refactor that moves them zeroes these metrics
+    two_stage = config_id == "1star"
+    assert len(tracer.spans("evolution.initialize_population")) == (2 if two_stage else 1)
+    assert metrics["evolution.initialize_population_s"] > 0
+    if two_stage:
+        assert metrics["twostage.stage1_s"] > 0
+        assert metrics["twostage.stage2_s"] > 0
+        assert metrics["twostage.merge_populations_us"] > 0
     assert log.sample is not None
     layers = sampler.sample_layers(log.sample, config.ea_params(), tiny_train, 1, 1)
     assert all(np.isfinite(value) for value in layers.values())

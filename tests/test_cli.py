@@ -165,6 +165,32 @@ class TestTrainAndPredict:
         assert code == 2
         assert_one_line_error(capsys, "predict", "hidden_nodes is not a list")
 
+    def test_model_with_a_non_finite_weight_is_one_line(self, balance_splits, tmp_path, capsys):
+        text = serialize_network(build_net(4, 3, [{0: 1.0}], [(0.0, {0: 1.0})] * 2))
+        model = tmp_path / "model.json"
+        model.write_text(text.replace('"bias": 0.0', '"bias": NaN', 1))
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model), "--data", str(balance_splits / "test.dat")])
+        assert code == 2
+        assert_one_line_error(capsys, "predict", "output 0: bias nan is not finite")
+
+    @pytest.mark.parametrize("budget, message", [
+        (["--neu", "0", "--gen", "4"], "max_hidden must be at least 1"),
+        (["--neu", "2", "--gen", "-1"], "gen must be nonnegative"),
+    ])
+    def test_rejected_setting_is_one_line(self, balance_splits, tmp_path, capsys,
+                                          budget, message):
+        capsys.readouterr()
+        code = main([
+            "train", "--config", "1star", *budget,
+            "--train", str(balance_splits / "train.dat"),
+            "--test", str(balance_splits / "test.dat"),
+            "--seed", "7", "--model-out", str(tmp_path / "m.json"), "--pop-size", "10",
+        ])
+        assert code == 2
+        assert_one_line_error(capsys, "train", message)
+        assert not (tmp_path / "m.json").exists()
+
     def test_train_determinism(self, balance_splits, tmp_path, capsys):
         texts = []
         for name in ("a.json", "b.json"):

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -38,6 +40,35 @@ def params_for(train, **overrides):
 
 def evaluated(net, train):
     return Individual(net, fitness(net, train), count_connections(net))
+
+
+REJECTED_SETTINGS = [
+    ({"gen": -1}, "gen must be nonnegative"),
+    ({"pop_size": 0}, "pop_size must be positive"),
+    ({"max_hidden": 0}, "max_hidden must be at least 1"),
+    ({"alpha2": -0.1}, "alpha2 must be nonnegative"),
+    ({"structural_ops": ("typo",)}, r"unknown structural operators: \['typo'\]"),
+]
+
+
+class TestEaParams:
+    @pytest.mark.parametrize("setting, message", REJECTED_SETTINGS)
+    def test_rejected_at_construction(self, setting, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EaParams(**{"gen": 10, "max_hidden": 3, **setting})
+
+    @pytest.mark.parametrize("setting, message", REJECTED_SETTINGS)
+    def test_rejected_through_replace(self, setting, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(EaParams(gen=10, max_hidden=3), **setting)
+
+    def test_frozen_with_the_settable_fields_only(self):
+        params = EaParams(gen=10, max_hidden=3)
+        assert [f.name for f in fields(params)] == [
+            "gen", "max_hidden", "pop_size", "alpha2", "structural_ops"]
+        with pytest.raises(FrozenInstanceError):
+            params.gen = 5
+        assert evolution.STALL_GENERATIONS == 20
 
 
 class TestInitialize:
@@ -305,8 +336,6 @@ def _reference_add_node(net, rng, params):
         new_masks.append(mask)
     new_coefficients = rng.uniform(lo, hi, (net.output_count, add))
     return PunnNetwork(
-        net.input_count,
-        net.class_count,
         np.vstack([net.exponents, new_exponents]),
         np.vstack([net.exponent_mask, new_masks]),
         np.hstack([net.coefficients, new_coefficients]),
@@ -322,8 +351,6 @@ def _reference_delete_node(net, rng, params):
         return net
     victims = rng.choice(net.hidden_count, size=removable, replace=False)
     return PunnNetwork(
-        net.input_count,
-        net.class_count,
         np.delete(net.exponents, victims, axis=0),
         np.delete(net.exponent_mask, victims, axis=0),
         np.delete(net.coefficients, victims, axis=1),
@@ -409,8 +436,6 @@ def _reference_fuse_nodes(net, rng, params):
     out.coefficients[:, keep] = coefficients
     out.coefficient_mask[:, keep] = coef_mask
     return PunnNetwork(
-        out.input_count,
-        out.class_count,
         np.delete(out.exponents, drop, axis=0),
         np.delete(out.exponent_mask, drop, axis=0),
         np.delete(out.coefficients, drop, axis=1),
@@ -651,9 +676,7 @@ class TestRunEvolution:
         # identical individuals, zero variances, no structural operators: the
         # population can never improve, so the stop fires after the window
         monkeypatch.setattr(evolution, "ALPHA_MIN", 0.0)
-        params = params_for(
-            toy_train, gen=100, pop_size=10, gen_without_improving=20, structural_ops=()
-        )
+        params = params_for(toy_train, gen=100, pop_size=10, structural_ops=())
         net = random_network(rng, 2, 3, 2)
         ind = evaluate_individual(net, toy_train, EvalCounter())
         pop = [Individual(ind.net.clone(), ind.fitness, ind.connections) for _ in range(10)]

@@ -235,6 +235,17 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize([])
 
+    def test_equals_the_report_rows(self, tmp_path):
+        # 141 and 142 of 156 test patterns: the unrounded mean, 90.7051...,
+        # prints 90.71, while the printed cells 90.38 and 91.03 average 90.70
+        records = [record(0, 100 * 141 / 156), record(1, 100 * 142 / 156)]
+        write_report(records, tmp_path / "report.csv")
+        with open(tmp_path / "report.csv", newline="") as fh:
+            mean_row, sd_row = list(csv.reader(fh))[-2:]
+        summary = summarize(records)
+        printed = [f"{summary.mean_ccr_test:.2f}", f"{summary.sd_ccr_test:.2f}"]
+        assert printed == [mean_row[3], sd_row[3]] == ["90.70", "0.46"]
+
 
 class TestWriteReport:
     def test_shape_and_self_consistency(self, tmp_path):

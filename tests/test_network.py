@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -271,6 +273,15 @@ class TestCcr:
             correct_classification_rate(net, ds)
 
 
+class TestCountsFromShapes:
+    def test_network_is_its_five_arrays(self):
+        net = build_net(4, 3, [{0: 1.0}, {2: -1.0}], [(0.5, {0: 1.0}), (0.0, {1: 2.0})])
+        assert [f.name for f in fields(net)] == [
+            "exponents", "exponent_mask", "coefficients", "coefficient_mask", "biases"]
+        counts = (net.input_count, net.hidden_count, net.output_count, net.class_count)
+        assert counts == (4, 2, 2, 3)
+
+
 class TestConnections:
     def test_small_example(self):
         net = build_net(2, 2, [{0: 1.0, 1: 2.0}], [(1.0, {0: 2.0})])
@@ -476,6 +487,49 @@ class TestSerialization:
         for doc, where in ((node, f"hidden node {net.hidden_count - 1}"), (output, "output 1")):
             with pytest.raises(ValueError, match=f"^{where}: {message}$"):
                 deserialize_network(json.dumps(doc))
+
+    @pytest.mark.parametrize("key, value", [
+        *((key, value) for key in ("input_count", "class_count")
+          for value in (None, [3], 3.7, 3.0, "3", True)),
+        ("input_count", 0),
+        ("class_count", 1),
+    ])
+    def test_count_that_is_not_an_integer_in_range_is_named(self, rng, key, value):
+        doc = network_document(random_network(rng, 3, 2, 3))
+        doc[key] = value
+        least = 1 if key == "input_count" else 2
+        message = f"model document: {key} {value!r} is not an integer >= {least}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            deserialize_network(json.dumps(doc))
+
+    @pytest.mark.parametrize("text, shown, problem", [
+        ("NaN", "nan", "is not finite"),
+        ("Infinity", "inf", "is not finite"),
+        ("-Infinity", "-inf", "is not finite"),
+        ("1e400", "inf", "is not finite"),
+        ("1" + "0" * 400, "1" + "0" * 400, "is not finite"),
+        ("null", "None", "is not a number"),
+        ("true", "True", "is not a number"),
+        ('"0.5"', "'0.5'", "is not a number"),
+    ])
+    def test_bias_and_link_weight_must_be_finite_numbers(self, rng, text, shown, problem):
+        net = random_network(rng, 3, 2, 3)
+        bias, node, output = (network_document(net) for _ in range(3))
+        bias["outputs"][1]["bias"] = "@"
+        node["hidden_nodes"][0] = [[0, "@"]]
+        output["outputs"][0]["links"] = [[0, "@"]]
+        for doc, where in ((bias, "output 1: bias"), (node, "hidden node 0: link weight"),
+                           (output, "output 0: link weight")):
+            message = f"{where} {shown} {problem}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                deserialize_network(json.dumps(doc).replace('"@"', text))
+
+    def test_integer_weights_load_as_floats(self):
+        doc = network_document(build_net(2, 2, [{0: 1.0}], [(0.0, {0: 1.0})]))
+        doc["hidden_nodes"][0] = [[1, -3]]
+        doc["outputs"][0]["bias"] = 2
+        net, _ = deserialize_network(json.dumps(doc))
+        assert net.exponents.tolist() == [[0.0, -3.0]] and net.biases.tolist() == [2.0]
 
     @pytest.mark.parametrize("text", ["[]", "3", '"punn-model"', "null"])
     def test_document_that_is_not_an_object(self, text):

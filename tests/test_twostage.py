@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from evopunn import evolution
 from evopunn.evolution import EaParams, EvalCounter, Individual, MutationState, initialize_population, run_evolution
 from evopunn.network import count_connections, random_network, serialize_network
 from evopunn.twostage import (
@@ -132,10 +133,12 @@ class TestRunTwoStage:
     SCHEDULES = [(10, 10, 308, 190), (12, 10, 360, 220), (10, 15, 353, 235), (20, 25, 922, 650)]
 
     @pytest.mark.parametrize("pop_size,gen,tsea,edd_single", SCHEDULES)
-    def test_counter_matches_closed_form(self, toy_train, pop_size, gen, tsea, edd_single):
+    def test_counter_matches_closed_form(
+        self, toy_train, monkeypatch, pop_size, gen, tsea, edd_single
+    ):
         # early stopping only exists in stage 2; disable it via a huge window
-        params = two_stage_params(pop_size=pop_size, gen=gen, neu=2,
-                                  gen_without_improving=10_000)
+        monkeypatch.setattr(evolution, "STALL_GENERATIONS", 10_000)
+        params = two_stage_params(pop_size=pop_size, gen=gen, neu=2)
         best, counter, history = run_two_stage(params, np.random.default_rng(5), toy_train)
         assert counter.total == expected_evaluations(pop_size, gen)["tsea"] == tsea
         assert history.stage2_generations == gen
@@ -145,12 +148,12 @@ class TestRunTwoStage:
     def test_single_run_counter_matches_closed_form(
         self, toy_train, pop_size, gen, tsea, edd_single
     ):
-        params = EaParams(gen=gen, max_hidden=2, pop_size=pop_size, gen_without_improving=10_000)
+        params = EaParams(gen=gen, max_hidden=2, pop_size=pop_size)
         counter = EvalCounter()
         rng = np.random.default_rng(5)
         pop = initialize_population(rng, params, toy_train, counter)
         state = MutationState(params.alpha1, params.alpha2)
-        run_evolution(pop, state, rng, params, toy_train, counter)
+        run_evolution(pop, state, rng, params, toy_train, counter, early_stopping=False)
         assert counter.total == expected_evaluations(pop_size, gen)["edd_single"] == edd_single
 
     def test_deterministic(self, toy_train):
