@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -123,16 +124,13 @@ def load_table(path, schema: list[ColumnSpec]) -> RawDataset:
     Missing cells are marked "?" or left empty. Cell values in nominal and
     class columns must belong to the declared vocabulary when one is given;
     otherwise the vocabulary is inferred in order of first appearance.
-    Cells are parsed in file order, so the first bad cell of the file is the
-    one reported.
+    The first bad cell in file order is the one reported.
     """
     class_columns = [c for c in schema if c.kind == "class"]
     if len(class_columns) != 1:
         raise SchemaError(f"schema must declare exactly one class column, found {len(class_columns)}")
     columns = [replace(c, vocabulary=None if c.kind == "continuous" else list(c.vocabulary or ()))
                for c in schema]
-    declared = [bool(c.vocabulary) for c in schema]
-    cells: list[list] = [[] for _ in columns]
 
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -147,36 +145,61 @@ def load_table(path, schema: list[ColumnSpec]) -> RawDataset:
         for cell, col in zip(header, columns):
             if cell.strip() != col.name:
                 raise ParseError(f"{path}: header column {cell.strip()!r} != schema {col.name!r}")
+        rows = list(reader)
 
-        for lineno, raw_row in enumerate(reader, start=2):
-            if len(raw_row) != len(columns):
-                raise ParseError(f"{path}:{lineno}: row has {len(raw_row)} cells, expected {len(columns)}")
-            for cell, col, column, fixed in zip(raw_row, columns, cells, declared):
-                cell = cell.strip()
-                if cell in MISSING_MARKERS:
-                    if col.kind == "class":
-                        raise DataError(f"{path}:{lineno}: class value is missing")
-                    column.append(None)
-                elif col.kind == "continuous":
-                    try:
-                        column.append(float(cell))
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}:{lineno}: {cell!r} is not numeric for column {col.name!r}"
-                        ) from None
-                else:
-                    if cell not in col.vocabulary:
-                        if fixed:
-                            raise SchemaError(
-                                f"{path}:{lineno}: value {cell!r} not in vocabulary of {col.name!r}"
-                            )
-                        col.vocabulary.append(cell)
-                    column.append(cell)
+    # rows before the first ragged one are parsed column by column; the first
+    # bad cell among them, by row and then column, precedes the ragged row
+    ragged = next((r for r, row in enumerate(rows) if len(row) != len(columns)), None)
+    texts = list(zip(*rows[:ragged])) or [()] * len(columns)
+    parsed = [_parse_column(path, col, text) for col, text in zip(columns, texts)]
+    faults = [(fault[0], j, fault[1]) for j, (_, fault) in enumerate(parsed) if fault]
+    if faults:
+        raise min(faults)[2]
+    if ragged is not None:
+        raise ParseError(
+            f"{path}:{ragged + 2}: row has {len(rows[ragged])} cells, expected {len(columns)}"
+        )
 
-    dataset = RawDataset(columns, cells)
+    dataset = RawDataset(columns, [values for values, _ in parsed])
     if len(dataset.class_labels) < 2:
         raise DataError(f"{path}: fewer than two class labels present")
     return dataset
+
+
+def _parse_column(path, col: ColumnSpec, text: tuple[str, ...]):
+    """(values, fault) for one column's cells in row order: the cells parsed
+    into col's kind, and None or (row, error) for its first bad cell. An
+    empty col.vocabulary grows in order of first appearance; a declared one
+    is fixed."""
+    fixed = bool(col.vocabulary)
+    if col.kind == "continuous":
+        try:
+            return list(map(float, text)), None  # float() strips like str.strip()
+        except ValueError:
+            pass  # a missing or bad cell: scan for it
+    values = []
+    for r, cell in enumerate(text):
+        cell = cell.strip()
+        if cell in MISSING_MARKERS:
+            if col.kind == "class":
+                return values, (r, DataError(f"{path}:{r + 2}: class value is missing"))
+            values.append(None)
+        elif col.kind == "continuous":
+            try:
+                values.append(float(cell))
+            except ValueError:
+                return values, (r, ParseError(
+                    f"{path}:{r + 2}: {cell!r} is not numeric for column {col.name!r}"
+                ))
+        else:
+            if cell not in col.vocabulary:
+                if fixed:
+                    return values, (r, SchemaError(
+                        f"{path}:{r + 2}: value {cell!r} not in vocabulary of {col.name!r}"
+                    ))
+                col.vocabulary.append(cell)
+            values.append(cell)
+    return values, None
 
 
 def impute_missing(raw: RawDataset) -> RawDataset:
@@ -347,8 +370,8 @@ def save_dataset(dataset: ProcessedDataset, path) -> None:
         )
         lines.append("normalization " + ranges)
     lines.append("data")
-    for row, label in zip(dataset.patterns, dataset.labels):
-        lines.append(",".join(repr(float(v)) for v in row) + f",{int(label)}")
+    lines += [",".join(map(repr, row)) + f",{label}"
+              for row, label in zip(dataset.patterns.tolist(), dataset.labels.tolist())]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -395,23 +418,17 @@ def load_dataset(path) -> ProcessedDataset:
             maxs.append(float(hi))
         normalization = NormalizationParams(np.asarray(mins), np.asarray(maxs))
 
-    patterns = np.empty((n, k))
-    labels = np.empty(n, dtype=np.int64)
     rows = [ln for ln in lines[data_start:] if ln]
     if len(rows) != n:
         raise ParseError(f"{path}: expected {n} data rows, found {len(rows)}")
-    for r, line in enumerate(rows):
-        cells = line.split(",")
-        if len(cells) != k + 1:
-            raise ParseError(f"{path}: data row {r} has {len(cells)} cells, expected {k + 1}")
-        try:
-            patterns[r] = [float(c) for c in cells[:k]]
-        except ValueError:
-            raise ParseError(f"{path}: data row {r} has a value that is not a number") from None
-        try:
-            labels[r] = int(cells[k])
-        except ValueError:
-            raise ParseError(f"{path}: data row {r} label {cells[k]!r} is not an integer") from None
+    # rows before the first ragged one are parsed in bulk; a cell among them
+    # that does not parse precedes the ragged row
+    ragged = next((r for r, line in enumerate(rows) if line.count(",") != k), None)
+    patterns, labels = _parse_data_rows(path, rows[:ragged], k)
+    if ragged is not None:
+        raise ParseError(
+            f"{path}: data row {ragged} has {rows[ragged].count(',') + 1} cells, expected {k + 1}"
+        )
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= class_count:
         raise ParseError(f"{path}: label index out of range")
     # product units take the log of every input: outside (0, inf) it is NaN or -inf
@@ -422,3 +439,26 @@ def load_dataset(path) -> ProcessedDataset:
             "finite and strictly positive"
         )
     return ProcessedDataset(patterns, labels, feature_names, class_names, normalization)
+
+
+def _parse_data_rows(path, rows: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Patterns (n, k) and labels (n,) of data rows of k + 1 cells each. A
+    cell that does not parse raises ParseError naming the first such row."""
+    try:
+        # row by row, so no list of every cell is held at once
+        values = chain.from_iterable(map(float, line.split(",", k)[:k]) for line in rows)
+        patterns = np.fromiter(values, float, len(rows) * k).reshape(len(rows), k)
+        labels = np.fromiter((int(line.rpartition(",")[2]) for line in rows), np.int64, len(rows))
+    except ValueError:
+        for r, line in enumerate(rows):  # the same parse, row by row, to name the row
+            *values, label = line.split(",")
+            try:
+                list(map(float, values))
+            except ValueError:
+                raise ParseError(f"{path}: data row {r} has a value that is not a number") from None
+            try:
+                int(label)
+            except ValueError:
+                raise ParseError(f"{path}: data row {r} label {label!r} is not an integer") from None
+        raise
+    return patterns, labels

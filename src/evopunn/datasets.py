@@ -77,12 +77,13 @@ def write_waveform(out_dir, n: int = 5000, seed: int = 1) -> tuple[Path, Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     attrs, labels = waveform_rows(n, seed)
     names = [f"x{i}" for i in range(1, 41)]
+    # one %-template per row, with the "\r\n" endings csv.writer writes
+    template = ",".join(["%.6f"] * len(names)) + ",%d"
+    lines = [",".join(names + ["class"])]
+    lines += [template % (*row, label) for row, label in zip(attrs.tolist(), labels.tolist())]
     csv_path = out_dir / "waveform.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names + ["class"])
-        for row, label in zip(attrs, labels):
-            writer.writerow([f"{v:.6f}" for v in row] + [str(int(label))])
+        fh.write("\r\n".join(lines) + "\r\n")
     schema_path = out_dir / "waveform.schema"
     schema_lines = [f"{name},continuous" for name in names] + ["class,class,0|1|2"]
     schema_path.write_text("\n".join(schema_lines) + "\n", encoding="utf-8")

@@ -6,7 +6,6 @@ from __future__ import annotations
 import csv
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,6 +181,8 @@ def run_experiment(
     ]
     if workers <= 1 or config.n_runs == 1:
         return [_run_for_pool(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # a serial run never loads it
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_for_pool, tasks))
 

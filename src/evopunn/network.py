@@ -358,6 +358,8 @@ def network_from_document(doc: dict) -> PunnNetwork:
     k = _count(doc, "input_count", 1)
     outputs = _count(doc, "class_count", 2) - 1
     nodes = _list(_field(doc, "hidden_nodes", "model document"), "hidden_nodes")
+    if not nodes:
+        raise ValueError("hidden_nodes is empty: a network has at least one hidden node")
     m = len(nodes)
     exponents = np.zeros((m, k))
     exponent_mask = np.zeros((m, k), dtype=bool)

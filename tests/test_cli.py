@@ -165,6 +165,20 @@ class TestTrainAndPredict:
         assert code == 2
         assert_one_line_error(capsys, "predict", "hidden_nodes is not a list")
 
+    def test_model_without_hidden_nodes_is_one_line(self, balance_splits, tmp_path, capsys):
+        doc = json.loads(serialize_network(build_net(4, 3, [{0: 1.0}], [(0.0, {0: 1.0})] * 2)))
+        doc["hidden_nodes"] = []
+        for output in doc["outputs"]:
+            output["links"] = []
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model), "--data", str(balance_splits / "test.dat")])
+        assert code == 2
+        assert_one_line_error(
+            capsys, "predict", "hidden_nodes is empty: a network has at least one hidden node"
+        )
+
     def test_model_with_a_non_finite_weight_is_one_line(self, balance_splits, tmp_path, capsys):
         text = serialize_network(build_net(4, 3, [{0: 1.0}], [(0.0, {0: 1.0})] * 2))
         model = tmp_path / "model.json"

@@ -1,3 +1,5 @@
+import hashlib
+import math
 import re
 
 import numpy as np
@@ -5,6 +7,8 @@ import pytest
 
 from evopunn.data import (
     ColumnSpec,
+    NormalizationParams,
+    ProcessedDataset,
     encode_nominal,
     fit_apply_normalization,
     impute_missing,
@@ -77,6 +81,34 @@ class TestLoadTable:
         schema = load_schema(write(tmp_path, "s", "a,continuous\nb,continuous\nclass,class\n"))
         data = write(tmp_path, "d.csv", "a,b,class\n1,xyz,x\nabc,2,y\n")
         with pytest.raises(ParseError, match=r"d\.csv:2: 'xyz' is not numeric for column 'b'$"):
+            load_table(data, schema)
+
+    def test_continuous_column_with_missing_cells(self, tmp_path):
+        # float() of the stripped cell, with "?", "" and blanks as missing
+        schema = load_schema(write(tmp_path, "s", "a,continuous\nclass,class\n"))
+        data = write(tmp_path, "d.csv", "a,class\n 1.5 ,x\n?,y\n,x\n  ,y\nnan,x\n1_000,y\n")
+        a = load_table(data, schema).cells[0]
+        assert a[:4] == [1.5, None, None, None]
+        assert math.isnan(a[4]) and a[5] == 1000.0
+
+    def test_continuous_column_without_missing_cells(self, tmp_path):
+        # float() of each cell as it stands, with the same results
+        schema = load_schema(write(tmp_path, "s", "a,continuous\nclass,class\n"))
+        data = write(tmp_path, "d.csv", "a,class\n 1.5 ,x\nnan,y\n1_000,x\n-2e-3\t,y\n")
+        a = load_table(data, schema).cells[0]
+        assert a[0] == 1.5 and math.isnan(a[1]) and a[2:] == [1000.0, -0.002]
+
+    @pytest.mark.parametrize("body, message", [
+        ("1,xyz,x\n2,2,\n", r"d\.csv:2: 'xyz' is not numeric for column 'b'"),
+        ("1,2,\n2,xyz,y\n", r"d\.csv:2: class value is missing"),
+        ("1,xyz,x\n2,2\n", r"d\.csv:2: 'xyz' is not numeric for column 'b'"),
+        ("1,2,x\n2,2\nxyz,3,y\n", r"d\.csv:3: row has 2 cells, expected 3"),
+    ], ids=["bad-number-before-missing-class", "missing-class-before-bad-number",
+            "bad-number-before-ragged-row", "ragged-row-before-bad-number"])
+    def test_first_fault_in_file_order_across_kinds(self, tmp_path, body, message):
+        schema = load_schema(write(tmp_path, "s", "a,continuous\nb,continuous\nclass,class\n"))
+        data = write(tmp_path, "d.csv", "a,b,class\n" + body)
+        with pytest.raises((ParseError, DataError), match=f"{message}$"):
             load_table(data, schema)
 
     def test_single_class_rejected(self, tmp_path):
@@ -282,6 +314,14 @@ class TestPipeline:
         assert ds.normalization.mins.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
         assert ds.normalization.maxs.tolist() == [5.0, 1.0, 1.0, 1.0, 1.0, 1.0]
 
+    @pytest.mark.parametrize("n, seed, digest", [
+        (200, 4, "19c78408ef44501ec17a1b21903126c4fb6d314e79a3c9fbca0c982d9c216552"),
+        (5000, 1, "dfb8866eb8134e4420ddd8399232d19deb87dd635891343eed28ca09a1c15b72"),
+    ])
+    def test_waveform_file_bytes_are_pinned(self, tmp_path, n, seed, digest):
+        csv_path, _ = write_waveform(tmp_path, n=n, seed=seed)
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
+
     def test_deterministic_given_inputs(self, tmp_path):
         csv_path, schema_path = write_balance_scale(tmp_path)
         a = preprocess_file(csv_path, schema_path)
@@ -304,6 +344,27 @@ class TestDatasetFile:
         assert np.array_equal(ds.normalization.mins, loaded.normalization.mins)
         assert np.array_equal(ds.normalization.maxs, loaded.normalization.maxs)
 
+    def test_saved_text_is_pinned(self, tmp_path):
+        values = [0.1, 1 / 3, 1e-300, 5e-324, 2.0]
+        ds = ProcessedDataset(
+            np.array([values, values[::-1]]), np.array([1, 0]), list("abcde"), ["no", "yes"],
+            NormalizationParams(np.array([0.1, -1 / 3, 0.0, -2.5, 1e-300]),
+                                np.array([2.0, 1 / 3, 1.0, 5e-324, 7.0])),
+        )
+        path = tmp_path / "h.dat"
+        save_dataset(ds, path)
+        assert path.read_text(encoding="utf-8") == (
+            "punn-dataset 1\nk 5\nL 2\nN 2\nfeatures a,b,c,d,e\nclasses no,yes\n"
+            "normalization 0.1:2.0 -0.3333333333333333:0.3333333333333333 0.0:1.0 "
+            "-2.5:5e-324 1e-300:7.0\n"
+            "data\n"
+            "0.1,0.3333333333333333,1e-300,5e-324,2.0,1\n"
+            "2.0,5e-324,1e-300,0.3333333333333333,0.1,0\n"
+        )
+        loaded = load_dataset(path)
+        assert loaded.patterns.tobytes() == ds.patterns.tobytes()
+        assert loaded.labels.tolist() == [1, 0]
+
     def test_normalization_reapplies_to_training_rows(self, tmp_path, rng):
         matrix = rng.normal(0, 3, (50, 4))
         normalized, params = fit_apply_normalization(matrix)
@@ -322,6 +383,28 @@ class TestDatasetFile:
         loaded = load_dataset(path)
         assert loaded.patterns.tolist() == [[1.0, 2.0], [1.5, 1e-300], [2.0, 1.25]]
         assert loaded.labels.tolist() == [0, 1, 1]
+
+    def test_cells_parse_as_float_and_int(self, tmp_path):
+        # values parse with float() and labels with int(): underscores,
+        # blanks around a number and a signed label all load
+        rows = "1_0,2.0,0\n 1.5,1e-300 ,+1\n2.0,1.25, 1\n"
+        path = write(tmp_path, "ok.dat", self.DAT_HEADER + rows)
+        loaded = load_dataset(path)
+        assert loaded.patterns.tolist() == [[10.0, 2.0], [1.5, 1e-300], [2.0, 1.25]]
+        assert loaded.labels.tolist() == [0, 1, 1]
+
+    @pytest.mark.parametrize("rows, message", [
+        ("1.0,2.0,0\n1.0,2.0\n2.0,1.25,1\n", "data row 1 has 2 cells, expected 3"),
+        ("1.0,2.0,0\n1.5,2.0,1,1\n2.0,1.25,1\n", "data row 1 has 4 cells, expected 3"),
+        ("1.0,x,0\n1.0,2.0\n2.0,1.25,1\n", "data row 0 has a value that is not a number"),
+        ("1.0,2.0,0\n1.0,2.0\n2.0,x,1\n", "data row 1 has 2 cells, expected 3"),
+        ("1.0,2.0,x\n1.0,y,0\n2.0,1.25,1\n", "data row 0 label 'x' is not an integer"),
+    ], ids=["short", "long", "bad-cell-before-ragged", "ragged-before-bad-cell",
+            "bad-label-before-bad-cell"])
+    def test_first_bad_row_in_file_order(self, tmp_path, rows, message):
+        path = write(tmp_path, "bad.dat", self.DAT_HEADER + rows)
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_dataset(path)
 
     @pytest.mark.parametrize("header,message", [
         ("punn-dataset\n", "unsupported dataset version ''"),
@@ -342,10 +425,13 @@ class TestDatasetFile:
         ("1.0,x,0", "data row 1 has a value that is not a number"),
         (",1.5,1", "data row 1 has a value that is not a number"),
         ("1.0,0x10,1", "data row 1 has a value that is not a number"),
+        ("1.0,#,1", "data row 1 has a value that is not a number"),
+        ("1.0,1.0#x,1", "data row 1 has a value that is not a number"),
         ("1.0,1.5,1.5", "data row 1 label '1.5' is not an integer"),
         ("1.0,1.5,yes", "data row 1 label 'yes' is not an integer"),
         ("1.0,1.5,", "data row 1 label '' is not an integer"),
-    ], ids=["letter", "empty-cell", "hex", "fractional-label", "named-label", "empty-label"])
+    ], ids=["letter", "empty-cell", "hex", "hash", "trailing-hash", "fractional-label",
+            "named-label", "empty-label"])
     def test_rejects_a_cell_that_does_not_parse(self, tmp_path, row, message):
         path = write(tmp_path, "bad.dat", self.DAT_HEADER + f"1.0,2.0,0\n{row}\n2.0,1.25,1\n")
         with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):

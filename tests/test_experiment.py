@@ -1,9 +1,14 @@
 import csv
+import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import evopunn
 from evopunn.experiment import (
     CONFIGURATIONS,
     PRESETS,
@@ -126,6 +131,16 @@ class TestRunExperiment:
             assert (a.seed, a.ccr_train, a.ccr_test, a.connections, a.evaluations) == (
                 b.seed, b.ccr_train, b.ccr_test, b.connections, b.evaluations
             )
+
+    def test_import_does_not_load_the_process_pool(self):
+        # only a pooled run_experiment imports it; a fresh process shows it
+        src = str(Path(evopunn.__file__).resolve().parent.parent)
+        code = "import sys, evopunn; print('concurrent.futures.process' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert result.stdout == "False\n"
 
     def test_different_master_seeds_complete(self, toy_train):
         for seed in (1, 2):

@@ -524,6 +524,15 @@ class TestSerialization:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 deserialize_network(json.dumps(doc).replace('"@"', text))
 
+    def test_empty_hidden_layer_is_rejected(self, rng):
+        doc = network_document(random_network(rng, 3, 2, 3))
+        doc["hidden_nodes"] = []
+        for output in doc["outputs"]:
+            output["links"] = []
+        message = "hidden_nodes is empty: a network has at least one hidden node"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            deserialize_network(json.dumps(doc))
+
     def test_integer_weights_load_as_floats(self):
         doc = network_document(build_net(2, 2, [{0: 1.0}], [(0.0, {0: 1.0})]))
         doc["hidden_nodes"][0] = [[1, -3]]
