@@ -147,7 +147,8 @@ def _cmd_split(args) -> int:
 
 def _make_trace_writer(path, train):
     """Per-generation trace: index, best fitness, mean fitness, best training
-    accuracy, evaluations so far; tab-separated, one line per generation."""
+    accuracy, evaluations so far, stage label; tab-separated, one line per
+    generation."""
     fh = open(path, "w", encoding="utf-8")
     lines_written = [0]
 
@@ -158,7 +159,7 @@ def _make_trace_writer(path, train):
         ccr = correct_classification_rate(best.net, train)
         fh.write(
             f"{lines_written[0]}\t{best.fitness:.10g}\t{mean:.10g}"
-            f"\t{ccr:.2f}\t{counter.total}\n"
+            f"\t{ccr:.2f}\t{counter.total}\t{stage}\n"
         )
 
     return fh, on_generation
@@ -230,15 +231,29 @@ def _cmd_evals(args) -> int:
     return 0
 
 
+def _check_names(doc, dataset) -> None:
+    """A model that records its names serves only a dataset with the same
+    names in the same order: preprocess numbers the classes in order of first
+    appearance, so another file of the same data may number them otherwise.
+    The counts already agree (predict_classes checks them)."""
+    for key, what in (("class_names", "class"), ("feature_names", "feature")):
+        recorded, actual = doc.get(key), getattr(dataset, key)
+        if recorded is not None and recorded != actual:
+            i = next(i for i, (a, b) in enumerate(zip(recorded, actual)) if a != b)
+            raise ValueError(
+                f"dataset {what} {i} is {actual[i]!r}, the model's is {recorded[i]!r}"
+            )
+
+
 def _cmd_predict(args) -> int:
     net, doc = deserialize_network(Path(args.model).read_text(encoding="utf-8"))
     dataset = load_dataset(args.data)
     names = doc.get("class_names")
     predictions = predict_classes(net, dataset)
+    _check_names(doc, dataset)
     for index in predictions:
         print(names[index] if names else int(index))
-    if dataset.class_count >= 2:
-        print(f"ccr={correct_classification_rate(net, dataset):.2f}")
+    print(f"ccr={correct_classification_rate(net, dataset):.2f}")
     return 0
 
 

@@ -10,16 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import (
-    EaParams,
-    EvalCounter,
-    Individual,
-    MutationState,
-    initialize_population,
-    run_evolution,
-)
+from .evolution import EaParams, EvalCounter, Individual
+# unused here: perfbench's tracer (tracing.PATCHES) rebinds these two names
+from .evolution import initialize_population, run_evolution  # noqa: F401
 from .network import correct_classification_rate
-from .twostage import run_two_stage
+from .twostage import run_stage, run_two_stage
 
 
 @dataclass(frozen=True)
@@ -144,11 +139,7 @@ def run_single(
         )
         generations = history.total_generations
     else:
-        population = initialize_population(rng, params, train, counter)
-        state = MutationState(params.alpha1, params.alpha2)
-        population, generations = run_evolution(
-            population, state, rng, params, train, counter, on_generation=on_generation
-        )
+        population, generations = run_stage("run", params, rng, train, counter, on_generation)
         best = population[0]
     elapsed = time.perf_counter() - started
     record = RunRecord(
@@ -188,19 +179,13 @@ def run_experiment(
 
 
 def summarize(records: list[RunRecord]) -> Summary:
-    """Mean and sample standard deviation (n-1) of test accuracy and
-    connection count; a single record has deviation 0 by convention. Each
-    accuracy is read at the two decimals write_report prints, so the summary
-    equals the report's mean and sd rows."""
+    """Mean and sample standard deviation of test accuracy and connection
+    count, read from the cells write_report prints, so the summary equals
+    the report's mean and sd rows."""
     if not records:
         raise ValueError("no records to summarize")
-    ccr = [float(f"{r.ccr_test:.2f}") for r in records]
-    conn = [float(r.connections) for r in records]
-
-    def sd(values):
-        return statistics.stdev(values) if len(values) > 1 else 0.0
-
-    return Summary(statistics.fmean(ccr), sd(ccr), statistics.fmean(conn), sd(conn))
+    rows = [_report_cells(r) for r in records]
+    return Summary(*_statistics(rows, "ccr_test"), *_statistics(rows, "connections"))
 
 
 _REPORT_COLUMNS = (
@@ -215,6 +200,19 @@ _REPORT_COLUMNS = (
 )
 
 
+def _report_cells(r: RunRecord) -> list[str]:
+    return [str(r.run_index), str(r.seed), f"{r.ccr_train:.2f}", f"{r.ccr_test:.2f}",
+            str(r.connections), str(r.evaluations), str(r.generations), f"{r.wall_time:.3f}"]
+
+
+def _statistics(rows: list[list[str]], name: str) -> tuple[float, float]:
+    """Mean and sample standard deviation (n-1) of a column's printed cells;
+    a single run has deviation 0 by convention."""
+    col = [column for column, _ in _REPORT_COLUMNS].index(name)
+    values = [float(row[col]) for row in rows]
+    return statistics.fmean(values), statistics.stdev(values) if len(values) > 1 else 0.0
+
+
 def write_report(records: list[RunRecord], path) -> None:
     """Comma-separated report: header, one row per run, then mean and sd rows.
 
@@ -224,32 +222,13 @@ def write_report(records: list[RunRecord], path) -> None:
     """
     if not records:
         raise ValueError("no records to report")
-    cells_per_run = []
-    for r in records:
-        cells_per_run.append([
-            str(r.run_index),
-            str(r.seed),
-            f"{r.ccr_train:.2f}",
-            f"{r.ccr_test:.2f}",
-            str(r.connections),
-            str(r.evaluations),
-            str(r.generations),
-            f"{r.wall_time:.3f}",
-        ])
-
+    rows = [_report_cells(r) for r in records]
+    mean_row, sd_row = ["mean", ""], ["sd", ""]
+    for name, digits in _REPORT_COLUMNS[2:]:
+        mean, sd = _statistics(rows, name)
+        mean_row.append(f"{mean:.{digits}f}")
+        sd_row.append(f"{sd:.{digits}f}")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(name for name, _ in _REPORT_COLUMNS)
-        writer.writerows(cells_per_run)
-        summary_mean = ["mean", ""]
-        summary_sd = ["sd", ""]
-        for col, (name, digits) in enumerate(_REPORT_COLUMNS):
-            if name in ("run", "seed"):
-                continue
-            emitted = [float(row[col]) for row in cells_per_run]
-            mean = statistics.fmean(emitted)
-            sd = statistics.stdev(emitted) if len(emitted) > 1 else 0.0
-            summary_mean.append(f"{mean:.{digits}f}")
-            summary_sd.append(f"{sd:.{digits}f}")
-        writer.writerow(summary_mean)
-        writer.writerow(summary_sd)
+        writer.writerows(rows + [mean_row, sd_row])

@@ -320,6 +320,17 @@ def _count(doc: dict, key: str, least: int) -> int:
     return value
 
 
+def _names(doc: dict, key: str, count: int) -> None:
+    """ValueError naming key when doc has it and it is not a list of count
+    strings (a string would be indexed character by character)."""
+    if key not in doc:
+        return
+    value = doc[key]
+    if not (isinstance(value, list) and len(value) == count
+            and all(isinstance(name, str) for name in value)):
+        raise ValueError(f"model document: {key} is not a list of {count} strings")
+
+
 def _finite(value, what: str) -> float:
     """A JSON number that a double holds finitely, as a float; ValueError
     naming what otherwise (json also parses NaN, Infinity and 1e400)."""
@@ -357,6 +368,8 @@ def network_from_document(doc: dict) -> PunnNetwork:
         raise ValueError(f"unsupported model version {doc.get('version')!r}")
     k = _count(doc, "input_count", 1)
     outputs = _count(doc, "class_count", 2) - 1
+    _names(doc, "feature_names", k)
+    _names(doc, "class_names", outputs + 1)
     nodes = _list(_field(doc, "hidden_nodes", "model document"), "hidden_nodes")
     if not nodes:
         raise ValueError("hidden_nodes is empty: a network has at least one hidden node")

@@ -1,14 +1,17 @@
-"""Two-stage population seeding.
+"""Seed-then-evolve stages, and two-stage population seeding built from them.
 
-Stage one builds and briefly evolves two independent populations whose
-networks differ in their hidden-node cap (neu and neu + 1), with no early
-stopping. The best half of each is merged into a single population that the
-standard loop then evolves to completion under the larger cap. Every
-generation of every stage reaches the caller's callback through
-run_evolution as on_generation(stage, gen_index, population, counter), with
-stage "stage1-a", "stage1-b" or "stage2". Also provides the closed-form
-evaluation accounting that compares this schedule against a pair of
-independent full-length runs.
+run_stage is the one path from a population to an evolved one: it seeds
+SEEDING_FACTOR * N random networks tagged with the stage's label, unless it
+is handed a population, and applies the main loop. A full-length run is one
+stage, "run". A two-stage run is three. Stage one builds and briefly evolves
+two independent populations whose networks differ in their hidden-node cap
+(neu and neu + 1), with no early stopping. The best half of each is merged
+into a single population that the standard loop then evolves to completion
+under the larger cap. Every generation of every stage reaches the caller's
+callback through run_evolution as on_generation(stage, gen_index,
+population, counter), with stage "run", "stage1-a", "stage1-b" or "stage2".
+Also provides the closed-form evaluation accounting that compares this
+schedule against a pair of independent full-length runs.
 """
 
 from __future__ import annotations
@@ -73,6 +76,30 @@ def merge_populations(
     return merged
 
 
+def run_stage(
+    label: str,
+    params: EaParams,
+    rng: np.random.Generator,
+    train,
+    counter: EvalCounter,
+    on_generation=None,
+    early_stopping: bool = True,
+    population: list[Individual] | None = None,
+) -> tuple[list[Individual], int]:
+    """One stage under params, drawing from rng: seed a population tagged
+    label, which every descendant inherits, unless population is given, then
+    evolve it with fresh step sizes. Returns run_evolution's (final
+    population, generations executed)."""
+    if population is None:
+        seeds = initialize_population(rng, params, train, counter)
+        population = [replace(ind, origin=label) for ind in seeds]
+    state = MutationState(params.alpha1, params.alpha2)
+    return run_evolution(
+        population, state, rng, params, train, counter,
+        early_stopping=early_stopping, on_generation=on_generation, stage=label,
+    )
+
+
 def run_two_stage(
     params: EaParams,
     rng: np.random.Generator,
@@ -87,35 +114,24 @@ def run_two_stage(
     Three independent substreams are derived from the caller's generator (one
     per stage-one population, one for stage two), so the stage-one runs could
     execute in parallel without changing the outcome. Stage one runs
-    stage1_length(gen) generations per population from seeds tagged with its
-    label, which every descendant inherits; stage two applies the standard
-    loop with early stopping to the merged population as it is.
+    stage1_length(gen) generations per population without early stopping;
+    stage two applies the standard loop with early stopping to the merged
+    population as it is.
     """
     _require_even(params.pop_size)
     counter = counter if counter is not None else EvalCounter()
     rng_a, rng_b, rng_stage2 = rng.spawn(3)
-    neu = params.max_hidden
-    final_cap = final_hidden_cap(neu)
+    final_params = replace(params, max_hidden=final_hidden_cap(params.max_hidden))
     stage1 = stage1_length(params.gen)
-
-    halves = []
-    for cap, stream, label in ((neu, rng_a, STAGE_A), (final_cap, rng_b, STAGE_B)):
-        stage_params = replace(params, max_hidden=cap, gen=stage1)
-        seeds = initialize_population(stream, stage_params, train, counter)
-        population = [replace(ind, origin=label) for ind in seeds]
-        state = MutationState(stage_params.alpha1, stage_params.alpha2)
-        population, _ = run_evolution(
-            population, state, stream, stage_params, train, counter,
-            early_stopping=False, on_generation=on_generation, stage=label,
-        )
-        halves.append(population)
-
-    merged = merge_populations(halves[0], halves[1])
-    stage2_params = replace(params, max_hidden=final_cap)
-    state = MutationState(stage2_params.alpha1, stage2_params.alpha2)
-    final_population, executed = run_evolution(
-        merged, state, rng_stage2, stage2_params, train, counter,
-        early_stopping=True, on_generation=on_generation, stage="stage2",
+    halves = [
+        run_stage(label, replace(stage_params, gen=stage1), stream, train, counter,
+                  on_generation, early_stopping=False)[0]
+        for label, stage_params, stream in (
+            (STAGE_A, params, rng_a), (STAGE_B, final_params, rng_b))
+    ]
+    merged = merge_populations(*halves)
+    final_population, executed = run_stage(
+        "stage2", final_params, rng_stage2, train, counter, on_generation, population=merged
     )
     return final_population[0], counter, TwoStageHistory(stage1, merged, executed)
 

@@ -32,6 +32,15 @@ def tiny_train():
     return data.ProcessedDataset(patterns, labels, ["a", "b", "c", "d"], ["x", "y", "z"])
 
 
+def test_every_attribute_the_tracer_rebinds_exists():
+    missing = [f"{module.__name__}.{attr}" for module, attr, _ in tracing.PATCHES
+               if not hasattr(module, attr)]
+    assert missing == [], (
+        f"perfbench's tracer (tracing.PATCHES) rebinds {missing}; keep these names "
+        "importable from their modules, or every traced benchmark run fails"
+    )
+
+
 def test_output_checks_pass_their_self_tests():
     assert selftest.run_selftests() == []
 

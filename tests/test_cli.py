@@ -112,7 +112,25 @@ class TestTrainAndPredict:
         assert len(lines) == 3
         for line in lines:
             fields = line.split("\t")
-            assert len(fields) == 5
+            assert len(fields) == 6
+            assert fields[5] == "run"
+
+    def test_two_stage_trace_names_its_stages(self, balance_splits, tmp_path, capsys):
+        trace = tmp_path / "trace.tsv"
+        code = main([
+            "train", "--config", "1star",
+            "--neu", "2", "--gen", "20",
+            "--train", str(balance_splits / "train.dat"),
+            "--test", str(balance_splits / "test.dat"),
+            "--seed", "7", "--model-out", str(tmp_path / "model.json"),
+            "--trace", str(trace), "--pop-size", "10",
+        ])
+        assert code == 0
+        rows = [line.split("\t") for line in trace.read_text().splitlines()]
+        stage2 = len(rows) - 4  # stage one runs gen // 10 = 2 per population
+        assert stage2 >= 1
+        assert [row[5] for row in rows] == ["stage1-a"] * 2 + ["stage1-b"] * 2 + ["stage2"] * stage2
+        assert [row[0] for row in rows] == [str(i) for i in range(1, len(rows) + 1)]
 
     def test_two_stage_train_and_predict(self, balance_splits, tmp_path, capsys):
         model = tmp_path / "model.json"
@@ -187,6 +205,40 @@ class TestTrainAndPredict:
         code = main(["predict", "--model", str(model), "--data", str(balance_splits / "test.dat")])
         assert code == 2
         assert_one_line_error(capsys, "predict", "output 0: bias nan is not finite")
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("class_names", ["B"], "model document: class_names is not a list of 3 strings"),
+        ("class_names", "BLR", "model document: class_names is not a list of 3 strings"),
+        ("feature_names", ["a"], "model document: feature_names is not a list of 4 strings"),
+    ])
+    def test_model_with_malformed_names_is_one_line(self, balance_splits, tmp_path, capsys,
+                                                    key, value, message):
+        doc = json.loads(serialize_network(build_net(4, 3, [{0: 1.0}], [(0.0, {0: 1.0})] * 2)))
+        doc[key] = value
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model), "--data", str(balance_splits / "test.dat")])
+        assert code == 2
+        assert_one_line_error(capsys, "predict", message)
+
+    @pytest.mark.parametrize("key, recorded, message", [
+        ("class_names", ["R", "L", "B"], "dataset class 0 is 'B', the model's is 'R'"),
+        ("feature_names", ["left_weight", "left_distance", "right_distance", "right_weight"],
+         "dataset feature 2 is 'right_weight', the model's is 'right_distance'"),
+    ])
+    def test_dataset_with_other_names_is_one_line(self, balance_splits, tmp_path, capsys,
+                                                  key, recorded, message):
+        dataset = load_dataset(balance_splits / "test.dat")
+        names = {"class_names": dataset.class_names, "feature_names": dataset.feature_names}
+        names[key] = recorded
+        model = tmp_path / "model.json"
+        model.write_text(serialize_network(
+            build_net(4, 3, [{0: 1.0}], [(0.0, {0: 1.0})] * 2), **names))
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model), "--data", str(balance_splits / "test.dat")])
+        assert code == 2
+        assert_one_line_error(capsys, "predict", message)
 
     @pytest.mark.parametrize("budget, message", [
         (["--neu", "0", "--gen", "4"], "max_hidden must be at least 1"),

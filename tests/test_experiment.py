@@ -154,17 +154,19 @@ class TestGenerationCallback:
 
     def run_logged(self, config_id, train):
         config = make_config(config_id, neu=2, gen=20, n_runs=1, pop_size=10)
-        events = []
+        events, origins = [], set()
 
         def log(stage, gen_index, population, counter):
             assert len(population) == 10
             events.append((stage, gen_index, counter.total))
+            origins.update(ind.origin for ind in population)
 
         record, _ = run_single(config, train, train, seed=4, on_generation=log)
-        return record, events
+        return record, events, origins
 
     def test_two_stage_events(self, toy_train):
-        record, events = self.run_logged("1star", toy_train)
+        record, events, origins = self.run_logged("1star", toy_train)
+        assert origins == {"stage1-a", "stage1-b"}
         n = record.generations - 4  # stage one runs gen // 10 = 2 per population
         assert n >= 1
         assert [(stage, g) for stage, g, _ in events] == (
@@ -174,7 +176,8 @@ class TestGenerationCallback:
         assert events[-1][2] == record.evaluations
 
     def test_single_run_events(self, toy_train):
-        record, events = self.run_logged("1", toy_train)
+        record, events, origins = self.run_logged("1", toy_train)
+        assert origins == {"run"}  # a full-length run is one stage, "run"
         assert [(stage, g) for stage, g, _ in events] == [
             ("run", g) for g in range(1, record.generations + 1)
         ]

@@ -533,6 +533,32 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"^{message}$"):
             deserialize_network(json.dumps(doc))
 
+    @pytest.mark.parametrize("key, value", [
+        ("class_names", ["B"]),
+        ("class_names", ["B", "L", "R", "X"]),
+        ("class_names", "BLR"),
+        ("class_names", ["B", 1, "R"]),
+        ("class_names", None),
+        ("feature_names", ["a", "b"]),
+        ("feature_names", "abc"),
+        ("feature_names", {"a": 0, "b": 1, "c": 2}),
+    ])
+    def test_names_must_be_one_string_per_class_or_input(self, rng, key, value):
+        doc = network_document(random_network(rng, 3, 2, 3), class_names=["B", "L", "R"],
+                               feature_names=["a", "b", "c"])
+        doc[key] = value
+        message = f"model document: {key} is not a list of 3 strings"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            deserialize_network(json.dumps(doc))
+
+    def test_names_are_optional(self, rng):
+        net = random_network(rng, 2, 2, 3)
+        named = network_document(net, class_names=["B", "L", "R"], feature_names=["a", "b"])
+        _, doc = deserialize_network(json.dumps(named))
+        assert (doc["class_names"], doc["feature_names"]) == (["B", "L", "R"], ["a", "b"])
+        _, doc = deserialize_network(serialize_network(net))
+        assert "class_names" not in doc and "feature_names" not in doc
+
     def test_integer_weights_load_as_floats(self):
         doc = network_document(build_net(2, 2, [{0: 1.0}], [(0.0, {0: 1.0})]))
         doc["hidden_nodes"][0] = [[1, -3]]
