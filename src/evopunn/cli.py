@@ -253,7 +253,7 @@ def _cmd_predict(args) -> int:
     _check_names(doc, dataset)
     for index in predictions:
         print(names[index] if names else int(index))
-    print(f"ccr={correct_classification_rate(net, dataset):.2f}")
+    print(f"ccr={100.0 * float((predictions == dataset.labels).mean()):.2f}")
     return 0
 
 

@@ -16,8 +16,6 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DataError, ParseError, SchemaError, StratificationError
-
 COLUMN_KINDS = ("continuous", "nominal", "class")
 MISSING_MARKERS = ("", "?")
 
@@ -58,13 +56,28 @@ class NormalizationParams:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProcessedDataset:
-    patterns: np.ndarray        # (N, k) float64 in [1, 2]
-    labels: np.ndarray          # (N,) int64 class indices
+    """Patterns and labels, checked when built, whether loaded or made in code."""
+    patterns: np.ndarray        # (N, k) float64, finite and > 0; in [1, 2] after preprocess
+    labels: np.ndarray          # (N,) integer class indices in [0, L)
     feature_names: list[str]
     class_names: list[str]
     normalization: NormalizationParams | None = None
+
+    def __post_init__(self) -> None:
+        n, k = self.patterns.shape
+        if self.labels.shape != (n,) or self.labels.dtype.kind not in "iu":
+            raise ValueError(f"labels are not an integer array of shape ({n},)")
+        if len(self.feature_names) != k:
+            raise ValueError(f"{len(self.feature_names)} feature names for {k} inputs")
+        if self.labels.min(initial=0) < 0 or self.labels.max(initial=0) >= self.class_count:
+            raise ValueError("label index out of range")
+        # product units take the log of every input: outside (0, inf) it is NaN or -inf
+        outside = ~(np.isfinite(self.patterns) & (self.patterns > 0.0)).all(axis=1)
+        if outside.any():
+            raise ValueError(f"data row {int(np.argmax(outside))} has a value that is not "
+                             "finite and strictly positive")
 
     @property
     def pattern_count(self) -> int:
@@ -103,18 +116,18 @@ def load_schema(path) -> list[ColumnSpec]:
                 continue
             parts = [p.strip() for p in line.split(",")]
             if len(parts) not in (2, 3):
-                raise ParseError(f"{path}:{lineno}: expected 'name,kind[,values]'")
+                raise ValueError(f"{path}:{lineno}: expected 'name,kind[,values]'")
             name, kind = parts[0], parts[1]
             if kind not in COLUMN_KINDS:
-                raise SchemaError(f"{path}:{lineno}: unknown column kind {kind!r}")
+                raise ValueError(f"{path}:{lineno}: unknown column kind {kind!r}")
             vocabulary = None
             if len(parts) == 3:
                 if kind == "continuous":
-                    raise SchemaError(f"{path}:{lineno}: continuous column cannot declare values")
+                    raise ValueError(f"{path}:{lineno}: continuous column cannot declare values")
                 vocabulary = [v.strip() for v in parts[2].split("|") if v.strip()]
             columns.append(ColumnSpec(name, kind, vocabulary))
     if not columns:
-        raise ParseError(f"{path}: schema file declares no columns")
+        raise ValueError(f"{path}: schema file declares no columns")
     return columns
 
 
@@ -128,7 +141,7 @@ def load_table(path, schema: list[ColumnSpec]) -> RawDataset:
     """
     class_columns = [c for c in schema if c.kind == "class"]
     if len(class_columns) != 1:
-        raise SchemaError(f"schema must declare exactly one class column, found {len(class_columns)}")
+        raise ValueError(f"schema must declare exactly one class column, found {len(class_columns)}")
     columns = [replace(c, vocabulary=None if c.kind == "continuous" else list(c.vocabulary or ()))
                for c in schema]
 
@@ -137,14 +150,14 @@ def load_table(path, schema: list[ColumnSpec]) -> RawDataset:
         try:
             header = next(reader)
         except StopIteration:
-            raise ParseError(f"{path}: file is empty") from None
+            raise ValueError(f"{path}: file is empty") from None
         if len(header) != len(columns):
-            raise ParseError(
+            raise ValueError(
                 f"{path}: header has {len(header)} columns, schema declares {len(columns)}"
             )
         for cell, col in zip(header, columns):
             if cell.strip() != col.name:
-                raise ParseError(f"{path}: header column {cell.strip()!r} != schema {col.name!r}")
+                raise ValueError(f"{path}: header column {cell.strip()!r} != schema {col.name!r}")
         rows = list(reader)
 
     # rows before the first ragged one are parsed column by column; the first
@@ -156,13 +169,13 @@ def load_table(path, schema: list[ColumnSpec]) -> RawDataset:
     if faults:
         raise min(faults)[2]
     if ragged is not None:
-        raise ParseError(
+        raise ValueError(
             f"{path}:{ragged + 2}: row has {len(rows[ragged])} cells, expected {len(columns)}"
         )
 
     dataset = RawDataset(columns, [values for values, _ in parsed])
     if len(dataset.class_labels) < 2:
-        raise DataError(f"{path}: fewer than two class labels present")
+        raise ValueError(f"{path}: fewer than two class labels present")
     return dataset
 
 
@@ -182,19 +195,19 @@ def _parse_column(path, col: ColumnSpec, text: tuple[str, ...]):
         cell = cell.strip()
         if cell in MISSING_MARKERS:
             if col.kind == "class":
-                return values, (r, DataError(f"{path}:{r + 2}: class value is missing"))
+                return values, (r, ValueError(f"{path}:{r + 2}: class value is missing"))
             values.append(None)
         elif col.kind == "continuous":
             try:
                 values.append(float(cell))
             except ValueError:
-                return values, (r, ParseError(
+                return values, (r, ValueError(
                     f"{path}:{r + 2}: {cell!r} is not numeric for column {col.name!r}"
                 ))
         else:
             if cell not in col.vocabulary:
                 if fixed:
-                    return values, (r, SchemaError(
+                    return values, (r, ValueError(
                         f"{path}:{r + 2}: value {cell!r} not in vocabulary of {col.name!r}"
                     ))
                 col.vocabulary.append(cell)
@@ -213,7 +226,7 @@ def impute_missing(raw: RawDataset) -> RawDataset:
             continue
         present = [v for v in column if v is not None]
         if not present:
-            raise DataError(f"column {col.name!r} has no values at all")
+            raise ValueError(f"column {col.name!r} has no values at all")
         if col.kind == "continuous":
             fill = sum(present) / len(present)
         else:
@@ -302,7 +315,7 @@ def _train_counts(class_sizes: list[int], ratio: float) -> list[int]:
                 and (counts[i] > 0 if over else counts[i] < class_sizes[i])
             ]
             if not candidates:
-                raise DataError("cannot reconcile per-class counts with the split ratio")
+                raise ValueError("cannot reconcile per-class counts with the split ratio")
             _, _, _, pick = max(candidates)
             counts[pick] += -1 if over else 1
             adjusted.add(pick)
@@ -322,7 +335,7 @@ def stratified_holdout(
     class_indices = [np.flatnonzero(dataset.labels == c) for c in range(dataset.class_count)]
     for c, idx in enumerate(class_indices):
         if len(idx) < 2:
-            raise StratificationError(
+            raise ValueError(
                 f"class {dataset.class_names[c]!r} has {len(idx)} pattern(s); need at least 2"
             )
     counts = _train_counts([len(idx) for idx in class_indices], ratio)
@@ -333,13 +346,13 @@ def stratified_holdout(
         shuffled = rng.permutation(idx)
         train_rows.append(shuffled[:take])
         test_rows.append(shuffled[take:])
-    train_idx = np.sort(np.concatenate(train_rows)).astype(np.int64)
-    test_idx = np.sort(np.concatenate(test_rows)).astype(np.int64)
+    train_idx = np.sort(np.concatenate(train_rows))
+    test_idx = np.sort(np.concatenate(test_rows))
 
     def subset(indices: np.ndarray) -> ProcessedDataset:
         return ProcessedDataset(
-            dataset.patterns[indices].copy(),
-            dataset.labels[indices].copy(),
+            dataset.patterns[indices],
+            dataset.labels[indices],
             list(dataset.feature_names),
             list(dataset.class_names),
             dataset.normalization,
@@ -355,6 +368,8 @@ def save_dataset(dataset: ProcessedDataset, path) -> None:
     for name in dataset.feature_names + dataset.class_names:
         if "," in name:
             raise ValueError(f"name {name!r} contains a comma")
+        if "\n" in name or "\r" in name:
+            raise ValueError(f"name {name!r} contains a line break")
     lines = [
         f"{DATASET_FORMAT} {DATASET_VERSION}",
         f"k {dataset.input_count}",
@@ -377,15 +392,15 @@ def save_dataset(dataset: ProcessedDataset, path) -> None:
 
 
 def load_dataset(path) -> ProcessedDataset:
-    """Read a file written by save_dataset. A malformed file, or a pattern
-    value that is not finite and strictly positive, raises ParseError."""
+    """Read a file written by save_dataset. A malformed file, or one that
+    ProcessedDataset rejects, raises ValueError naming the path."""
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     fmt, _, version = lines[0].partition(" ") if lines else ("", "", "")
     if fmt != DATASET_FORMAT:
-        raise ParseError(f"{path}: not a recognized dataset file")
+        raise ValueError(f"{path}: not a recognized dataset file")
     if version != str(DATASET_VERSION):
-        raise ParseError(f"{path}: unsupported dataset version {version!r}")
+        raise ValueError(f"{path}: unsupported dataset version {version!r}")
 
     header: dict[str, str] = {}
     data_start = None
@@ -396,18 +411,18 @@ def load_dataset(path) -> ProcessedDataset:
         key, _, value = line.partition(" ")
         header[key] = value
     if data_start is None:
-        raise ParseError(f"{path}: missing data section")
+        raise ValueError(f"{path}: missing data section")
 
     for key in ("k", "L", "N", "classes"):
         if key not in header:
-            raise ParseError(f"{path}: header lacks {key!r}")
+            raise ValueError(f"{path}: header lacks {key!r}")
         if key != "classes" and not header[key].isdecimal():
-            raise ParseError(f"{path}: header {key!r} is {header[key]!r}, not a count")
+            raise ValueError(f"{path}: header {key!r} is {header[key]!r}, not a count")
     k, class_count, n = (int(header[key]) for key in ("k", "L", "N"))
     feature_names = header["features"].split(",") if header.get("features") else []
     class_names = header["classes"].split(",")
     if len(class_names) != class_count or len(feature_names) != k:
-        raise ParseError(f"{path}: header counts disagree with name lists")
+        raise ValueError(f"{path}: header counts disagree with name lists")
 
     normalization = None
     if "normalization" in header:
@@ -420,30 +435,24 @@ def load_dataset(path) -> ProcessedDataset:
 
     rows = [ln for ln in lines[data_start:] if ln]
     if len(rows) != n:
-        raise ParseError(f"{path}: expected {n} data rows, found {len(rows)}")
+        raise ValueError(f"{path}: expected {n} data rows, found {len(rows)}")
     # rows before the first ragged one are parsed in bulk; a cell among them
     # that does not parse precedes the ragged row
     ragged = next((r for r, line in enumerate(rows) if line.count(",") != k), None)
     patterns, labels = _parse_data_rows(path, rows[:ragged], k)
     if ragged is not None:
-        raise ParseError(
+        raise ValueError(
             f"{path}: data row {ragged} has {rows[ragged].count(',') + 1} cells, expected {k + 1}"
         )
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= class_count:
-        raise ParseError(f"{path}: label index out of range")
-    # product units take the log of every input: outside (0, inf) it is NaN or -inf
-    outside = ~(np.isfinite(patterns) & (patterns > 0.0)).all(axis=1)
-    if outside.any():
-        raise ParseError(
-            f"{path}: data row {int(np.argmax(outside))} has a value that is not "
-            "finite and strictly positive"
-        )
-    return ProcessedDataset(patterns, labels, feature_names, class_names, normalization)
+    try:
+        return ProcessedDataset(patterns, labels, feature_names, class_names, normalization)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _parse_data_rows(path, rows: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
     """Patterns (n, k) and labels (n,) of data rows of k + 1 cells each. A
-    cell that does not parse raises ParseError naming the first such row."""
+    cell that does not parse raises ValueError naming the first such row."""
     try:
         # row by row, so no list of every cell is held at once
         values = chain.from_iterable(map(float, line.split(",", k)[:k]) for line in rows)
@@ -455,10 +464,10 @@ def _parse_data_rows(path, rows: list[str], k: int) -> tuple[np.ndarray, np.ndar
             try:
                 list(map(float, values))
             except ValueError:
-                raise ParseError(f"{path}: data row {r} has a value that is not a number") from None
+                raise ValueError(f"{path}: data row {r} has a value that is not a number") from None
             try:
                 int(label)
             except ValueError:
-                raise ParseError(f"{path}: data row {r} label {label!r} is not an integer") from None
+                raise ValueError(f"{path}: data row {r} label {label!r} is not an integer") from None
         raise
     return patterns, labels

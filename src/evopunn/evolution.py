@@ -119,8 +119,6 @@ def initialize_population(
     rng: np.random.Generator, params: EaParams, train, counter: EvalCounter
 ) -> list[Individual]:
     """Score SEEDING_FACTOR * pop_size random networks; keep the best pop_size."""
-    if train.pattern_count == 0:
-        raise ValueError("training set is empty")
     candidates = [
         evaluate_individual(
             random_network(

@@ -6,7 +6,8 @@ import pytest
 
 from evopunn.cli import main
 from evopunn.data import load_dataset
-from evopunn.network import serialize_network
+from evopunn import network
+from evopunn.network import correct_classification_rate, predict_classes, serialize_network
 from evopunn.twostage import final_hidden_cap
 
 from conftest import build_net
@@ -51,6 +52,17 @@ class TestPipelineVerbs:
         ])
         out = capsys.readouterr().out
         assert "625 patterns" in out and "4 inputs" in out and "3 classes" in out
+
+
+    def test_name_with_a_line_break_is_one_line(self, tmp_path, capsys):
+        schema = tmp_path / "s"
+        schema.write_text("a,continuous\nclass,class\n")
+        data = tmp_path / "d.csv"
+        data.write_text('a,class\n1,"x\ny"\n2,z\n')
+        code = main(["preprocess", "--data", str(data), "--schema", str(schema),
+                     "--out", str(tmp_path / "p")])
+        assert code == 2
+        assert_one_line_error(capsys, "preprocess", "name 'x\\ny' contains a line break")
 
 
 class TestEvalsVerb:
@@ -149,6 +161,29 @@ class TestTrainAndPredict:
         assert len(lines) == 156 + 1  # one class per row plus the accuracy line
         assert set(lines[:-1]) <= {"B", "L", "R"}
         assert lines[-1].startswith("ccr=")
+
+    def test_predict_scores_the_dataset_once(self, balance_splits, tmp_path, capsys,
+                                             monkeypatch):
+        net = build_net(4, 3, [{0: 1.0, 1: -0.5}, {2: 2.0}],
+                        [(0.1, {0: 1.0}), (-0.2, {0: 0.5, 1: -1.0})])
+        model = tmp_path / "model.json"
+        model.write_text(serialize_network(net, class_names=["B", "L", "R"]))
+        test = load_dataset(balance_splits / "test.dat")
+        expected = [["B", "L", "R"][c] for c in predict_classes(net, test)]
+        expected.append(f"ccr={correct_classification_rate(net, test):.2f}")
+        calls = []
+        scored = network.class_outputs
+
+        def counted(*args):
+            calls.append(args)
+            return scored(*args)
+
+        monkeypatch.setattr(network, "class_outputs", counted)
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model),
+                     "--data", str(balance_splits / "test.dat")]) == 0
+        assert capsys.readouterr().out == "\n".join(expected) + "\n"
+        assert len(calls) == 1
 
     def test_input_count_mismatch_is_one_line(self, balance_splits, tmp_path, capsys):
         model = tmp_path / "model.json"

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from evopunn.data import (
     stratified_holdout,
 )
 from evopunn.datasets import write_balance_scale, write_waveform
-from evopunn.errors import DataError, ParseError, SchemaError, StratificationError
 
 from conftest import make_dataset
 
@@ -33,6 +33,46 @@ def write(tmp_path, name, text):
 
 
 BASIC_SCHEMA = "a,continuous\ncolour,nominal\nclass,class\n"
+
+
+class TestProcessedDataset:
+    """The type checks itself, whether loaded from a file or built in code."""
+
+    def build(self, patterns=None, labels=(0, 1, 1), feature_names=("a", "b")):
+        if patterns is None:
+            patterns = [[1.0, 2.0], [1.5, 1.5], [2.0, 1.25]]
+        return ProcessedDataset(np.array(patterns, dtype=float), np.asarray(labels),
+                                list(feature_names), ["no", "yes"])
+
+    def test_a_valid_and_an_empty_dataset_build(self):
+        assert self.build().pattern_count == 3
+        empty = self.build(np.empty((0, 2)), np.empty(0, dtype=np.int64))
+        assert empty.pattern_count == 0
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1.5, math.nan, math.inf, -math.inf])
+    def test_rejects_values_outside_the_log_domain(self, value):
+        with pytest.raises(ValueError, match="^data row 1 has a value that is not finite "
+                                             "and strictly positive$"):
+            self.build([[1.0, 2.0], [1.5, value], [2.0, 1.25]])
+
+    @pytest.mark.parametrize("labels", [(0, -1, 1), (0, 2, 1)], ids=["negative", "L"])
+    def test_rejects_a_label_outside_the_classes(self, labels):
+        with pytest.raises(ValueError, match="^label index out of range$"):
+            self.build(labels=labels)
+
+    @pytest.mark.parametrize("labels", [(0.0, 1.0, 1.0), (0, 1), ((0, 1, 1),)],
+                             ids=["float", "short", "two-dimensional"])
+    def test_rejects_labels_that_are_not_an_integer_vector(self, labels):
+        with pytest.raises(ValueError, match=r"^labels are not an integer array of shape \(3,\)$"):
+            self.build(labels=labels)
+
+    def test_rejects_a_missing_feature_name(self):
+        with pytest.raises(ValueError, match="^1 feature names for 2 inputs$"):
+            self.build(feature_names=["a"])
+
+    def test_is_frozen(self):
+        with pytest.raises(FrozenInstanceError):
+            self.build().labels = np.array([1, 1, 0])
 
 
 class TestLoadTable:
@@ -54,25 +94,25 @@ class TestLoadTable:
     def test_column_count_mismatch(self, tmp_path):
         schema = load_schema(write(tmp_path, "s", BASIC_SCHEMA))
         data = write(tmp_path, "d.csv", "a,colour\n1,red\n")
-        with pytest.raises(ParseError, match="columns"):
+        with pytest.raises(ValueError, match="columns"):
             load_table(data, schema)
 
     def test_ragged_row(self, tmp_path):
         schema = load_schema(write(tmp_path, "s", BASIC_SCHEMA))
         data = write(tmp_path, "d.csv", "a,colour,class\n1,red\n")
-        with pytest.raises(ParseError, match="cells"):
+        with pytest.raises(ValueError, match="cells"):
             load_table(data, schema)
 
     def test_unknown_nominal_value(self, tmp_path):
         schema = load_schema(write(tmp_path, "s", "a,continuous\ncolour,nominal,red|blue\nclass,class\n"))
         data = write(tmp_path, "d.csv", "a,colour,class\n1,green,x\n2,red,y\n")
-        with pytest.raises(SchemaError, match="vocabulary"):
+        with pytest.raises(ValueError, match="vocabulary"):
             load_table(data, schema)
 
     def test_bad_number(self, tmp_path):
         schema = load_schema(write(tmp_path, "s", BASIC_SCHEMA))
         data = write(tmp_path, "d.csv", "a,colour,class\nxyz,red,x\n1,red,y\n")
-        with pytest.raises(ParseError, match="numeric"):
+        with pytest.raises(ValueError, match="numeric"):
             load_table(data, schema)
 
     def test_first_bad_cell_in_file_order(self, tmp_path):
@@ -80,7 +120,7 @@ class TestLoadTable:
         # parse that went column by column would report line 3
         schema = load_schema(write(tmp_path, "s", "a,continuous\nb,continuous\nclass,class\n"))
         data = write(tmp_path, "d.csv", "a,b,class\n1,xyz,x\nabc,2,y\n")
-        with pytest.raises(ParseError, match=r"d\.csv:2: 'xyz' is not numeric for column 'b'$"):
+        with pytest.raises(ValueError, match=r"d\.csv:2: 'xyz' is not numeric for column 'b'$"):
             load_table(data, schema)
 
     def test_continuous_column_with_missing_cells(self, tmp_path):
@@ -108,13 +148,13 @@ class TestLoadTable:
     def test_first_fault_in_file_order_across_kinds(self, tmp_path, body, message):
         schema = load_schema(write(tmp_path, "s", "a,continuous\nb,continuous\nclass,class\n"))
         data = write(tmp_path, "d.csv", "a,b,class\n" + body)
-        with pytest.raises((ParseError, DataError), match=f"{message}$"):
+        with pytest.raises(ValueError, match=f"{message}$"):
             load_table(data, schema)
 
     def test_single_class_rejected(self, tmp_path):
         schema = load_schema(write(tmp_path, "s", BASIC_SCHEMA))
         data = write(tmp_path, "d.csv", "a,colour,class\n1,red,x\n2,red,x\n")
-        with pytest.raises(DataError, match="class labels"):
+        with pytest.raises(ValueError, match="class labels"):
             load_table(data, schema)
 
 
@@ -141,7 +181,7 @@ class TestImpute:
 
     def test_fully_missing_column(self, tmp_path):
         raw = self.make_raw(tmp_path, "?,red,x\n?,red,y\n")
-        with pytest.raises(DataError, match="no values"):
+        with pytest.raises(ValueError, match="no values"):
             impute_missing(raw)
 
     def test_original_untouched(self, tmp_path):
@@ -252,7 +292,7 @@ class TestStratifiedHoldout:
 
     def test_singleton_class_rejected(self, rng):
         ds = make_dataset(rng.uniform(1, 2, (5, 2)), [0, 0, 0, 0, 1], 2)
-        with pytest.raises(StratificationError, match="at least 2"):
+        with pytest.raises(ValueError, match="at least 2"):
             stratified_holdout(ds, 0.75, seed=0)
 
 
@@ -371,9 +411,19 @@ class TestDatasetFile:
         subset = rng.choice(50, size=30, replace=False)
         assert np.array_equal(params.apply(matrix[subset]), normalized[subset])
 
+    @pytest.mark.parametrize("line_break", ["\n", "\r"], ids=["lf", "cr"])
+    def test_rejects_a_name_with_a_line_break(self, tmp_path, line_break):
+        # a quoted CSV cell may hold one, and the saved header line would split
+        schema = write(tmp_path, "s", "a,continuous\nclass,class\n")
+        data = write(tmp_path, "d.csv", f'a,class\n1,"x{line_break}y"\n2,z\n')
+        ds = preprocess_file(data, schema)
+        message = f"name {'x' + line_break + 'y'!r} contains a line break"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            save_dataset(ds, tmp_path / "out.dat")
+
     def test_rejects_garbage(self, tmp_path):
         path = write(tmp_path, "bad.dat", "not a dataset\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ValueError):
             load_dataset(path)
 
     DAT_HEADER = "punn-dataset 1\nk 2\nL 2\nN 3\nfeatures a,b\nclasses no,yes\ndata\n"
@@ -403,7 +453,7 @@ class TestDatasetFile:
             "bad-label-before-bad-cell"])
     def test_first_bad_row_in_file_order(self, tmp_path, rows, message):
         path = write(tmp_path, "bad.dat", self.DAT_HEADER + rows)
-        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_dataset(path)
 
     @pytest.mark.parametrize("header,message", [
@@ -418,7 +468,7 @@ class TestDatasetFile:
     ], ids=["no-version", "bad-version", "no-k", "no-L", "no-N", "no-classes", "bad-N", "negative-k"])
     def test_rejects_a_malformed_header(self, tmp_path, header, message):
         path = write(tmp_path, "bad.dat", header + "1.0,2.0,0\n1.5,1.5,1\n2.0,1.25,1\n")
-        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_dataset(path)
 
     @pytest.mark.parametrize("row,message", [
@@ -434,12 +484,17 @@ class TestDatasetFile:
             "named-label", "empty-label"])
     def test_rejects_a_cell_that_does_not_parse(self, tmp_path, row, message):
         path = write(tmp_path, "bad.dat", self.DAT_HEADER + f"1.0,2.0,0\n{row}\n2.0,1.25,1\n")
-        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_dataset(path)
+
+    def test_rejects_a_label_outside_the_classes(self, tmp_path):
+        path = write(tmp_path, "bad.dat", self.DAT_HEADER + "1.0,2.0,0\n1.5,1.5,2\n2.0,1.25,1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: label index out of range')}$"):
             load_dataset(path)
 
     @pytest.mark.parametrize("value", ["0.0", "-0.0", "-1.5", "nan", "inf", "-inf"])
     def test_rejects_values_outside_the_log_domain(self, tmp_path, value):
         rows = f"1.0,2.0,0\n1.5,{value},1\n2.0,1.25,1\n"
         path = write(tmp_path, "bad.dat", self.DAT_HEADER + rows)
-        with pytest.raises(ParseError, match="row 1 .*finite and strictly positive"):
+        with pytest.raises(ValueError, match="row 1 .*finite and strictly positive"):
             load_dataset(path)

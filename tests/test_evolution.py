@@ -102,6 +102,13 @@ class TestInitialize:
             assert x.fitness == y.fitness
             assert np.array_equal(x.net.exponents, y.net.exponents)
 
+    def test_empty_training_set_rejected_before_counting(self, rng):
+        empty = make_dataset(np.empty((0, 2)), np.empty(0, dtype=np.int64), 2)
+        counter = EvalCounter()
+        with pytest.raises(ValueError, match="^dataset is empty$"):
+            initialize_population(rng, params_for(empty), empty, counter)
+        assert counter.total == 0
+
     def test_full_scale_accounting(self, rng, toy_train):
         params = params_for(toy_train, pop_size=1000)
         counter = EvalCounter()
