@@ -66,8 +66,12 @@ class ProcessedDataset:
     normalization: NormalizationParams | None = None
 
     def __post_init__(self) -> None:
+        if (not isinstance(self.patterns, np.ndarray) or self.patterns.ndim != 2
+                or self.patterns.dtype.kind != "f"):
+            raise ValueError("patterns are not a two-dimensional float array")
         n, k = self.patterns.shape
-        if self.labels.shape != (n,) or self.labels.dtype.kind not in "iu":
+        if (not isinstance(self.labels, np.ndarray) or self.labels.shape != (n,)
+                or self.labels.dtype.kind not in "iu"):
             raise ValueError(f"labels are not an integer array of shape ({n},)")
         if len(self.feature_names) != k:
             raise ValueError(f"{len(self.feature_names)} feature names for {k} inputs")
@@ -426,11 +430,17 @@ def load_dataset(path) -> ProcessedDataset:
 
     normalization = None
     if "normalization" in header:
+        ranges = header["normalization"].split()
+        if len(ranges) != k:
+            raise ValueError(f"{path}: {len(ranges)} normalization ranges for {k} inputs")
         mins, maxs = [], []
-        for pair in header["normalization"].split():
+        for pair in ranges:
             lo, _, hi = pair.partition(":")
-            mins.append(float(lo))
-            maxs.append(float(hi))
+            try:
+                mins.append(float(lo))
+                maxs.append(float(hi))
+            except ValueError:
+                raise ValueError(f"{path}: normalization range {pair!r} is not min:max") from None
         normalization = NormalizationParams(np.asarray(mins), np.asarray(maxs))
 
     rows = [ln for ln in lines[data_start:] if ln]

@@ -13,10 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import compress, count, islice
+from operator import and_, ne, not_, or_
 from typing import ClassVar
 
 import numpy as np
 
+from .draws import DrawStream
 from .network import (
     PunnNetwork,
     WEIGHT_INTERVAL,
@@ -203,177 +206,240 @@ def adapt_variances(state: MutationState) -> None:
     state.attempts = 0
 
 
-def _draw_count(rng: np.random.Generator) -> int:
-    return int(rng.integers(1, MAX_OP_COUNT, endpoint=True))
-
-
-def _sample(rng: np.random.Generator, n: int, size: int) -> list[int]:
-    """rng.choice(n, size, replace=False) as a list, from the same draws, for
-    size 1 or 2 (no operator asks for more than MAX_OP_COUNT picks).
+def _sample(draws: DrawStream, n: int, size: int) -> list[int]:
+    """Generator.choice(n, size, replace=False) as a list, from the same draws,
+    for size 1 or 2 (no operator asks for more than MAX_OP_COUNT picks).
 
     numpy draws so small a sample by Floyd's algorithm and then shuffles it:
-    one or three Generator.integers calls, a fraction of a choice call."""
+    one or three bounded integers."""
     if size == 1:
-        return [int(rng.integers(0, n))]
-    first = int(rng.integers(0, n - 1))
-    second = int(rng.integers(0, n))
+        return [draws.integers(n)]
+    first = draws.integers(n - 1)
+    second = draws.integers(n)
     if second == first:
         second = n - 1
-    return [first, second] if rng.integers(0, 2) else [second, first]
+    return [first, second] if draws.integers(2) else [second, first]
 
 
-# Every operator takes (net, rng, params, owned=False) and returns the child,
-# or net itself when it changes nothing. With owned=True, net is a child that
-# structural_mutation built earlier for the same individual: the operator may
-# edit its arrays in place and share its biases. Otherwise net belongs to a
-# parent, which is never written, and a changed child gets arrays of its own.
+class _Node:
+    """A hidden node of a child being built. src is the parent node it
+    started as, or -1 for a new or fused node, whose row and col hold all of
+    its exponents and coefficients. A parent's node keeps the parent's row
+    and column, overwritten by its (index, weight, linked) edits and cedits.
+    mask and cmask are its input and output links as bool lists, kept current."""
 
-def _add_node(
-    net: PunnNetwork, rng: np.random.Generator, params: EaParams, owned: bool = False
-) -> PunnNetwork:
+    __slots__ = ("src", "mask", "cmask", "row", "col", "edits", "cedits")
+
+    def __init__(self, src: int, mask: list, cmask: list, row=None, col=None):
+        self.src = src
+        self.mask = mask
+        self.cmask = cmask
+        self.row = row
+        self.col = col
+        self.edits: list[tuple[int, float, bool]] = []
+        self.cedits: list[tuple[int, float, bool]] = []
+
+
+class _Child:
+    """A structural child under construction: the operators edit its node
+    list, draw from the stream and set changed, and network() builds its
+    arrays once. It shares the parent's biases, which nothing writes; a child
+    that nothing changed is the parent's network itself."""
+
+    __slots__ = ("parent", "nodes", "changed")
+
+    def __init__(self, parent: PunnNetwork):
+        self.parent = parent
+        self.nodes = list(map(_Node, count(), parent.exponent_mask.tolist(),
+                              parent.coefficient_mask.T.tolist()))
+        self.changed = False
+
+    def row(self, node: _Node) -> list[float]:
+        if node.src < 0:
+            return node.row
+        row = self.parent.exponents[node.src].tolist()
+        for at, weight, _ in node.edits:
+            row[at] = weight
+        return row
+
+    def col(self, node: _Node) -> list[float]:
+        if node.src < 0:
+            return node.col
+        col = self.parent.coefficients[:, node.src].tolist()
+        for at, weight, _ in node.cedits:
+            col[at] = weight
+        return col
+
+    def network(self) -> PunnNetwork:
+        parent = self.parent
+        if not self.changed:
+            return parent
+        # a new or fused node takes the parent's last node as a placeholder
+        kept = np.array([node.src for node in self.nodes])
+        exponents = parent.exponents.take(kept, 0)
+        exponent_mask = parent.exponent_mask.take(kept, 0)
+        coefficients = parent.coefficients.take(kept, 1)
+        coefficient_mask = parent.coefficient_mask.take(kept, 1)
+        for r, node in enumerate(self.nodes):
+            if node.src < 0:
+                exponents[r] = node.row
+                exponent_mask[r] = node.mask
+                coefficients[:, r] = node.col
+                coefficient_mask[:, r] = node.cmask
+                continue
+            for at, weight, linked in node.edits:
+                exponents[r, at] = weight
+                exponent_mask[r, at] = linked
+            for at, weight, linked in node.cedits:
+                coefficients[at, r] = weight
+                coefficient_mask[at, r] = linked
+        return PunnNetwork(exponents, exponent_mask, coefficients, coefficient_mask,
+                           parent.biases)
+
+
+# Every operator takes (child, draws, params), draws what the operator draws
+# and edits the child; an operator with nothing to do draws its count only,
+# or nothing, and leaves the child as it was. A count 1 + integers(MAX_OP_COUNT)
+# is one draw, the one numpy makes for integers(1, MAX_OP_COUNT, endpoint=True).
+
+def _add_node(child: _Child, draws: DrawStream, params: EaParams) -> None:
     """Append up to the drawn count of nodes, as room under the cap allows.
 
     Each new node's input connections exist independently with probability
     link_density (an all-absent draw is redone, so every node has an input)
-    and their exponents are drawn straight into the node's row; then one
-    draw gives every output a coefficient to every new node."""
-    wanted = _draw_count(rng)
-    room = params.max_hidden - net.hidden_count
-    add = min(wanted, room)
+    and then draw their exponents in input order; then one draw gives every
+    output a coefficient to every new node, in (output, node) order."""
+    wanted = 1 + draws.integers(MAX_OP_COUNT)
+    nodes = child.nodes
+    add = min(wanted, params.max_hidden - len(nodes))
     if add <= 0:
-        return net
+        return
     lo, hi = params.weight_interval
-    m, k = net.exponents.shape
-    exponents = np.zeros((m + add, k))
-    exponent_mask = np.zeros((m + add, k), dtype=bool)
-    exponents[:m] = net.exponents
-    exponent_mask[:m] = net.exponent_mask
-    for row in range(m, m + add):
-        mask = exponent_mask[row]
-        np.less(rng.random(k), params.link_density, out=mask)
-        links = np.count_nonzero(mask)
-        while not links:
-            np.less(rng.random(k), params.link_density, out=mask)
-            links = np.count_nonzero(mask)
-        exponents[row][mask] = rng.uniform(lo, hi, links)
-    coefficients = np.empty((net.output_count, m + add))
-    coefficient_mask = np.empty((net.output_count, m + add), dtype=bool)
-    coefficients[:, :m] = net.coefficients
-    coefficient_mask[:, :m] = net.coefficient_mask
-    coefficients[:, m:] = rng.uniform(lo, hi, (net.output_count, add))
-    coefficient_mask[:, m:] = True
-    return PunnNetwork(
-        exponents, exponent_mask, coefficients, coefficient_mask,
-        net.biases if owned else net.biases.copy(),
-    )
+    k, outputs = len(nodes[0].mask), len(nodes[0].cmask)
+    new = []
+    for _ in range(add):
+        mask = draws.below(k, params.link_density)
+        while True not in mask:
+            mask = draws.below(k, params.link_density)
+        weights = iter(draws.uniforms(lo, hi, mask.count(True)))
+        row = [next(weights) if linked else 0.0 for linked in mask]
+        new.append(_Node(-1, mask, [True] * outputs, row))
+    coefficients = draws.uniforms(lo, hi, outputs * add)
+    for a, node in enumerate(new):
+        node.col = coefficients[a::add]
+    nodes += new
+    child.changed = True
 
 
-def _keep_nodes(net: PunnNetwork, kept: list[int], owned: bool) -> PunnNetwork:
-    """Child holding the hidden nodes whose indices, ascending, are in kept."""
-    return PunnNetwork(
-        net.exponents.take(kept, axis=0),
-        net.exponent_mask.take(kept, axis=0),
-        net.coefficients.take(kept, axis=1),
-        net.coefficient_mask.take(kept, axis=1),
-        net.biases if owned else net.biases.copy(),
-    )
-
-
-def _delete_node(
-    net: PunnNetwork, rng: np.random.Generator, params: EaParams, owned: bool = False
-) -> PunnNetwork:
-    wanted = _draw_count(rng)
-    m = net.hidden_count
-    removable = min(wanted, m - 1)  # a network keeps at least one node
+def _delete_node(child: _Child, draws: DrawStream, params: EaParams) -> None:
+    wanted = 1 + draws.integers(MAX_OP_COUNT)
+    nodes = child.nodes
+    removable = min(wanted, len(nodes) - 1)  # a network keeps at least one node
     if removable <= 0:
-        return net
-    victims = _sample(rng, m, removable)
-    return _keep_nodes(net, [j for j in range(m) if j not in victims], owned)
+        return
+    for j in sorted(_sample(draws, len(nodes), removable), reverse=True):
+        del nodes[j]
+    child.changed = True
+
+
+def _locate(nodes: list[_Node], counts: list[int], pick: int, existing: bool
+            ) -> tuple[_Node, bool, int]:
+    """(node, in the input layer, input or output index) of the pick-th link
+    of the pool: the input links that are (existing) or are not, in (node,
+    input) order, counts[j] of them at node j, then such output links in
+    (output, node) order."""
+    for node, links in zip(nodes, counts):
+        if pick < links:
+            pool = compress(count(), node.mask if existing else map(not_, node.mask))
+            return node, True, next(islice(pool, pick, None))
+        pick -= links
+    for o in range(len(nodes[0].cmask)):
+        for node in nodes:
+            if node.cmask[o] == existing:
+                if not pick:
+                    return node, False, o
+                pick -= 1
+    raise ValueError("pick outside the pool")
 
 
 def _edit_connections(
-    net: PunnNetwork, rng: np.random.Generator, params: EaParams, owned: bool = False,
-    *, existing: bool,
-) -> PunnNetwork:
+    existing: bool, child: _Child, draws: DrawStream, params: EaParams
+) -> None:
     """Delete existing connections (existing=True) or add absent ones with
     weights uniform in the weight interval (existing=False). The links are
-    drawn without replacement from both layers' pool, the exponents then the
-    coefficients in C order; an empty pool is a no-op."""
-    wanted = _draw_count(rng)
-    pools = [
-        (links if existing else ~links).nonzero()[0]
-        for links in (net.exponent_mask.ravel(), net.coefficient_mask.ravel())
-    ]
-    split = pools[0].size
-    size = split + pools[1].size
+    drawn without replacement from both layers' pool, then the added links'
+    weights in pick order; an empty pool is a no-op."""
+    wanted = 1 + draws.integers(MAX_OP_COUNT)
+    nodes = child.nodes
+    counts = [node.mask.count(existing) for node in nodes]
+    size = sum(counts) + sum([node.cmask.count(existing) for node in nodes])
     if size == 0:
-        return net
-    picks = _sample(rng, size, min(wanted, size))
-    child = net if owned else net.clone()
-    if existing:
-        weights = [0.0] * len(picks)
-    else:
-        lo, hi = params.weight_interval
-        weights = rng.uniform(lo, hi, len(picks))
-    for pick, weight in zip(picks, weights):
-        if pick < split:
-            at = pools[0][pick]
-            child.exponents.flat[at] = weight
-            child.exponent_mask.flat[at] = not existing
-        else:
-            at = pools[1][pick - split]
-            child.coefficients.flat[at] = weight
-            child.coefficient_mask.flat[at] = not existing
-    return child
-
-
-def _fuse_nodes(
-    net: PunnNetwork, rng: np.random.Generator, params: EaParams, owned: bool = False
-) -> PunnNetwork:
-    m = net.hidden_count
-    if m < 2:
-        return net
+        return
+    # every pick is placed in the pool as it was before any edit
+    places = [_locate(nodes, counts, pick, existing)
+              for pick in _sample(draws, size, min(wanted, size))]
     lo, hi = params.weight_interval
-    a, b = _sample(rng, m, 2)
-    keep, drop = min(a, b), max(a, b)
+    linked = not existing
+    for node, in_exponents, at in places:
+        weight = 0.0 if existing else draws.uniform(lo, hi)
+        if in_exponents:
+            node.mask[at] = linked
+            if node.src < 0:
+                node.row[at] = weight
+            else:
+                node.edits.append((at, weight, linked))
+        else:
+            node.cmask[at] = linked
+            if node.src < 0:
+                node.col[at] = weight
+            else:
+                node.cedits.append((at, weight, linked))
+    child.changed = True
 
-    in_a = net.exponent_mask[a]
-    in_b = net.exponent_mask[b]
-    both = in_a & in_b
-    single = in_a ^ in_b
-    mask = both.copy()
+
+def _fuse_nodes(child: _Child, draws: DrawStream, params: EaParams) -> None:
+    nodes = child.nodes
+    m = len(nodes)
+    if m < 2:
+        return
+    lo, hi = params.weight_interval
+    a, b = _sample(draws, m, 2)
+    keep, drop = min(a, b), max(a, b)
+    node_a, node_b = nodes[a], nodes[b]
+    row_a, row_b = child.row(node_a), child.row(node_b)
+    in_a, in_b = node_a.mask, node_b.mask
+    mask = list(map(and_, in_a, in_b))
+    row = [0.0] * len(mask)
+    for at in compress(count(), mask):
+        row[at] = 0.5 * (row_a[at] + row_b[at])
     # a connection held by one parent survives half the time, one draw per
     # such input in index order
-    mask[single] = rng.random(np.count_nonzero(single)) < 0.5
-    row_a = net.exponents[a]
-    row_b = net.exponents[b]
-    exponents = np.where(both, 0.5 * (row_a + row_b), np.where(in_a, row_a, row_b))
-    exponents[~mask] = 0.0
-
-    coef_mask = net.coefficient_mask[:, a] | net.coefficient_mask[:, b]
-    summed = net.coefficients[:, a] + net.coefficients[:, b]
-    coefficients = np.where(coef_mask, summed.clip(lo, hi), 0.0)
-
+    single = list(compress(count(), map(ne, in_a, in_b)))
+    for at in compress(single, draws.below(len(single), 0.5)):
+        mask[at] = True
+        row[at] = row_a[at] if in_a[at] else row_b[at]
+    cmask = list(map(or_, node_a.cmask, node_b.cmask))
+    col = [min(max(x + y, lo), hi) if linked else 0.0
+           for x, y, linked in zip(child.col(node_a), child.col(node_b), cmask)]
     # drop > keep, so keep's index is the same in the child
-    out = _keep_nodes(net, [j for j in range(m) if j != drop], owned)
-    out.exponents[keep] = exponents
-    out.exponent_mask[keep] = mask
-    out.coefficients[:, keep] = coefficients
-    out.coefficient_mask[:, keep] = coef_mask
-    return out
+    nodes[keep] = _Node(-1, mask, cmask, row, col)
+    del nodes[drop]
+    child.changed = True
 
 
 _OPERATORS = {
     "add_node": _add_node,
     "delete_node": _delete_node,
-    "add_connection": partial(_edit_connections, existing=False),
-    "delete_connection": partial(_edit_connections, existing=True),
+    "add_connection": partial(_edit_connections, False),
+    "delete_connection": partial(_edit_connections, True),
     "fuse_nodes": _fuse_nodes,
 }
 
+STRUCTURAL_WORDS = 16  # raw words a structural child takes on average, or more
+
 
 def structural_mutation(
-    ind: Individual, rng: np.random.Generator, params: EaParams
+    ind: Individual, draws: DrawStream | np.random.Generator, params: EaParams
 ) -> PunnNetwork:
     """Topology change: the enabled operators are tried in their fixed order,
     each firing independently with probability T; if none fired, one is chosen
@@ -381,23 +447,31 @@ def structural_mutation(
     remove) are explicit no-ops, so the parent's own network comes back when
     nothing changed. Returns a network the caller must re-score.
 
-    The parent's arrays are copied at most once: the first operator that
-    changes something builds the child, later connection edits write into
-    it, and later node-count changes resize it."""
+    draws is a stream open on the run's generator, or the generator itself,
+    over which a stream is opened and closed for this one call."""
+    if isinstance(draws, np.random.Generator):
+        stream = DrawStream(draws)
+        try:
+            return _mutate(ind, stream, params)
+        finally:
+            stream.close()
+    return _mutate(ind, draws, params)
+
+
+def _mutate(ind: Individual, draws: DrawStream, params: EaParams) -> PunnNetwork:
     names = params.structural_ops
-    parent = ind.net
     if not names:
-        return parent
+        return ind.net
     t = temperature(ind)
-    net = parent
+    child = _Child(ind.net)
     fired = False
     for name in names:
-        if rng.random() < t:
+        if draws.random() < t:
             fired = True
-            net = _OPERATORS[name](net, rng, params, net is not parent)
+            _OPERATORS[name](child, draws, params)
     if not fired:
-        net = _OPERATORS[names[int(rng.integers(len(names)))]](net, rng, params)
-    return net
+        _OPERATORS[names[draws.integers(len(names))]](child, draws, params)
+    return child.network()
 
 
 def generation_split(pop_size: int) -> tuple[int, int, int]:
@@ -432,9 +506,15 @@ def evolve_generation(
         next_population.append(
             parametric_mutation(ind, state, rng, train, counter, params.weight_interval)
         )
-    for ind in population[n_param : n_param + n_struct]:
-        mutated = structural_mutation(ind, rng, params)
-        next_population.append(evaluate_individual(mutated, train, counter, ind.origin))
+    # every structural draw comes from one stream of raw words; closing it
+    # puts the generator where numpy's own calls would have left it
+    draws = DrawStream(rng, STRUCTURAL_WORDS * n_struct)
+    try:
+        for ind in population[n_param : n_param + n_struct]:
+            mutated = structural_mutation(ind, draws, params)
+            next_population.append(evaluate_individual(mutated, train, counter, ind.origin))
+    finally:
+        draws.close()
     next_population.extend(elite)
     adapt_variances(state)
     sort_population(next_population)

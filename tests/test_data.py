@@ -66,6 +66,23 @@ class TestProcessedDataset:
         with pytest.raises(ValueError, match=r"^labels are not an integer array of shape \(3,\)$"):
             self.build(labels=labels)
 
+    @pytest.mark.parametrize("patterns", [
+        [1.0, 2.0, 1.5], [[1, 2], [2, 1], [1, 1]], [[[1.0, 2.0]], [[1.5, 1.5]], [[2.0, 1.25]]],
+    ], ids=["one-dimensional", "integer", "three-dimensional"])
+    def test_rejects_patterns_that_are_not_a_float_matrix(self, patterns):
+        with pytest.raises(ValueError, match="^patterns are not a two-dimensional float array$"):
+            ProcessedDataset(np.array(patterns), np.array([0, 1, 1]), ["a", "b"], ["no", "yes"])
+
+    def test_rejects_patterns_that_are_not_an_array(self):
+        with pytest.raises(ValueError, match="^patterns are not a two-dimensional float array$"):
+            ProcessedDataset([[1.0, 2.0], [1.5, 1.5], [2.0, 1.25]], np.array([0, 1, 1]),
+                             ["a", "b"], ["no", "yes"])
+
+    def test_rejects_labels_that_are_not_an_array(self):
+        patterns = np.array([[1.0, 2.0], [1.5, 1.5], [2.0, 1.25]])
+        with pytest.raises(ValueError, match=r"^labels are not an integer array of shape \(3,\)$"):
+            ProcessedDataset(patterns, [0, 1, 1], ["a", "b"], ["no", "yes"])
+
     def test_rejects_a_missing_feature_name(self):
         with pytest.raises(ValueError, match="^1 feature names for 2 inputs$"):
             self.build(feature_names=["a"])
@@ -470,6 +487,28 @@ class TestDatasetFile:
         path = write(tmp_path, "bad.dat", header + "1.0,2.0,0\n1.5,1.5,1\n2.0,1.25,1\n")
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("ranges, message", [
+        ("0.0:1.0", "1 normalization ranges for 2 inputs"),
+        ("0.0:1.0 0.0:1.0 0.0:1.0", "3 normalization ranges for 2 inputs"),
+        ("", "0 normalization ranges for 2 inputs"),
+        ("0.0:1.0 abc", "normalization range 'abc' is not min:max"),
+        ("0.0:x 0.0:1.0", "normalization range '0.0:x' is not min:max"),
+        ("0.0:1.0 2.0", "normalization range '2.0' is not min:max"),
+    ], ids=["short", "long", "empty", "no-colon", "bad-max", "no-max"])
+    def test_rejects_a_normalization_header_that_does_not_fit(self, tmp_path, ranges, message):
+        header = self.DAT_HEADER.replace("data\n", f"normalization {ranges}\ndata\n")
+        path = write(tmp_path, "bad.dat", header + "1.0,2.0,0\n1.5,1.5,1\n2.0,1.25,1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_dataset(path)
+
+    def test_reads_a_normalization_header(self, tmp_path):
+        header = self.DAT_HEADER.replace("data\n", "normalization 0.0:1.0 -2.5:3.0\ndata\n")
+        path = write(tmp_path, "ok.dat", header + "1.0,2.0,0\n1.5,1.5,1\n2.0,1.25,1\n")
+        loaded = load_dataset(path)
+        assert loaded.normalization.mins.tolist() == [0.0, -2.5]
+        assert loaded.normalization.maxs.tolist() == [1.0, 3.0]
+        assert loaded.normalization.apply(np.array([[0.5, 3.0]])).tolist() == [[1.5, 2.0]]
 
     @pytest.mark.parametrize("row,message", [
         ("1.0,x,0", "data row 1 has a value that is not a number"),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from evopunn import evolution
+from evopunn.draws import DrawStream
 from evopunn.evolution import (
     EaParams,
     EvalCounter,
@@ -493,7 +494,11 @@ class TestOperatorsMatchReference:
         expected_rng = np.random.default_rng(op_seed)
         got_rng = np.random.default_rng(op_seed)
         expected = REFERENCE_OPERATORS[op](net, expected_rng, params)
-        got = evolution._OPERATORS[op](net, got_rng, params)
+        draws = DrawStream(got_rng)
+        child = evolution._Child(net)
+        evolution._OPERATORS[op](child, draws, params)
+        got = child.network()
+        draws.close()
 
         assert (got is net) == (expected is net)
         for name in NET_ARRAYS:
@@ -595,7 +600,9 @@ class TestSample:
             expected_rng.integers(0, 2**32, dtype=np.uint32)
             got_rng.integers(0, 2**32, dtype=np.uint32)
         expected = expected_rng.choice(n, size, replace=False).tolist()
-        assert evolution._sample(got_rng, n, size) == expected
+        draws = DrawStream(got_rng)
+        assert evolution._sample(draws, n, size) == expected
+        draws.close()
         assert got_rng.bit_generator.state == expected_rng.bit_generator.state
 
 

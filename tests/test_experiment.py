@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import evopunn
+from evopunn.data import ProcessedDataset, fit_apply_normalization
+from evopunn.datasets import waveform_rows
 from evopunn.experiment import (
     CONFIGURATIONS,
     PRESETS,
@@ -224,6 +226,21 @@ class TestGoldenRun:
     def test_pinned_outcome(self, toy_train, config_id, evaluations, generations, best_hex):
         config = make_config(config_id, neu=3, gen=40, n_runs=1, pop_size=20)
         record, best = run_single(config, toy_train, toy_train, seed=11)
+        assert (record.evaluations, record.generations) == (evaluations, generations)
+        assert best.fitness.hex() == best_hex
+
+    @pytest.mark.parametrize("config_id, evaluations, generations, best_hex", [
+        ("1star", 1048, 36, "0x1.00fbfe645fc46p-1"),
+        ("1", 740, 30, "0x1.faced38b14858p-2"),
+    ])
+    def test_pinned_outcome_wide(self, config_id, evaluations, generations, best_hex):
+        # 40 inputs and 3 classes: new nodes draw 40-long link and weight rows
+        attrs, labels = waveform_rows(n=300, seed=4)
+        patterns, normalization = fit_apply_normalization(attrs)
+        train = ProcessedDataset(patterns, labels, [f"x{i}" for i in range(40)],
+                                 ["a", "b", "c"], normalization)
+        config = make_config(config_id, neu=3, gen=30, n_runs=1, pop_size=20)
+        record, best = run_single(config, train, train, seed=11)
         assert (record.evaluations, record.generations) == (evaluations, generations)
         assert best.fitness.hex() == best_hex
 
