@@ -84,6 +84,8 @@ def main() -> int:
     parser.add_argument("--workload", action="append")
     parser.add_argument("--seed-list", type=int, action="append")
     args = parser.parse_args()
+    if args.pairs < 2:
+        parser.error(f"--pairs must be at least 2, for the parent's quartiles, not {args.pairs}")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = spec["end_to_end"]

@@ -7,11 +7,11 @@ serves the draws with numpy's own arithmetic:
 
 - random() is (w >> 11) * 2**-53, numpy's next_double;
 - uniform(lo, hi) is lo + (hi - lo) * random();
-- integers(n), numpy's integers(0, n) for 1 <= n <= 2**32, is Lemire's
+- integers(n), numpy's integers(0, n) for 1 <= n < 2**32, is Lemire's
   nearly divisionless method (Lemire 2019) on 32-bit halves of words: the
   low half of a fresh word first, its high half kept in the bit generator's
   one-value buffer (has_uint32, uinteger) for the next call. n = 1 takes no
-  draw and n = 2**32 takes a half unscaled;
+  draw;
 - below(n, p) and uniforms(lo, hi, n) are n draws of random() < p and of
   uniform(lo, hi) as lists, read off one slice of the block.
 
@@ -112,9 +112,7 @@ class DrawStream:
         if n == 1:
             return 0
         if n > _HALF:
-            if n == _HALF + 1:
-                return self._uint32()
-            raise ValueError(f"integers(n) serves 1 <= n <= 2**32, not {n}")
+            raise ValueError(f"integers(n) serves 1 <= n < 2**32, not {n}")
         if self._has_half:
             self._has_half = 0
             scaled = self._half * n

@@ -223,12 +223,14 @@ def _sample(draws: DrawStream, n: int, size: int) -> list[int]:
 
 class _Node:
     """A hidden node of a child being built. src is the parent node it
-    started as, or -1 for a new or fused node, whose row and col hold all of
-    its exponents and coefficients. A parent's node keeps the parent's row
-    and column, overwritten by its (index, weight, linked) edits and cedits.
-    mask and cmask are its input and output links as bool lists, kept current."""
+    started as, or -1 for a new or fused node. mask and cmask are its input
+    and output links as bool lists, kept current; row and col are its
+    exponents and coefficients as float lists, or None while they are still
+    the parent's. A node's mask differs from the parent's only when it owns
+    that row or column, since every link edit also writes a weight, so the
+    child takes every other row and column, masks too, from the parent."""
 
-    __slots__ = ("src", "mask", "cmask", "row", "col", "edits", "cedits")
+    __slots__ = ("src", "mask", "cmask", "row", "col")
 
     def __init__(self, src: int, mask: list, cmask: list, row=None, col=None):
         self.src = src
@@ -236,8 +238,6 @@ class _Node:
         self.cmask = cmask
         self.row = row
         self.col = col
-        self.edits: list[tuple[int, float, bool]] = []
-        self.cedits: list[tuple[int, float, bool]] = []
 
 
 class _Child:
@@ -255,20 +255,16 @@ class _Child:
         self.changed = False
 
     def row(self, node: _Node) -> list[float]:
-        if node.src < 0:
-            return node.row
-        row = self.parent.exponents[node.src].tolist()
-        for at, weight, _ in node.edits:
-            row[at] = weight
-        return row
+        """node's exponents, which it owns from the first call on."""
+        if node.row is None:
+            node.row = self.parent.exponents[node.src].tolist()
+        return node.row
 
     def col(self, node: _Node) -> list[float]:
-        if node.src < 0:
-            return node.col
-        col = self.parent.coefficients[:, node.src].tolist()
-        for at, weight, _ in node.cedits:
-            col[at] = weight
-        return col
+        """node's coefficients, which it owns from the first call on."""
+        if node.col is None:
+            node.col = self.parent.coefficients[:, node.src].tolist()
+        return node.col
 
     def network(self) -> PunnNetwork:
         parent = self.parent
@@ -281,18 +277,12 @@ class _Child:
         coefficients = parent.coefficients.take(kept, 1)
         coefficient_mask = parent.coefficient_mask.take(kept, 1)
         for r, node in enumerate(self.nodes):
-            if node.src < 0:
+            if node.row is not None:
                 exponents[r] = node.row
                 exponent_mask[r] = node.mask
+            if node.col is not None:
                 coefficients[:, r] = node.col
                 coefficient_mask[:, r] = node.cmask
-                continue
-            for at, weight, linked in node.edits:
-                exponents[r, at] = weight
-                exponent_mask[r, at] = linked
-            for at, weight, linked in node.cedits:
-                coefficients[at, r] = weight
-                coefficient_mask[at, r] = linked
         return PunnNetwork(exponents, exponent_mask, coefficients, coefficient_mask,
                            parent.biases)
 
@@ -384,16 +374,10 @@ def _edit_connections(
         weight = 0.0 if existing else draws.uniform(lo, hi)
         if in_exponents:
             node.mask[at] = linked
-            if node.src < 0:
-                node.row[at] = weight
-            else:
-                node.edits.append((at, weight, linked))
+            child.row(node)[at] = weight
         else:
             node.cmask[at] = linked
-            if node.src < 0:
-                node.col[at] = weight
-            else:
-                node.cedits.append((at, weight, linked))
+            child.col(node)[at] = weight
     child.changed = True
 
 
@@ -435,7 +419,7 @@ _OPERATORS = {
     "fuse_nodes": _fuse_nodes,
 }
 
-STRUCTURAL_WORDS = 16  # raw words a structural child takes on average, or more
+STRUCTURAL_WORDS = 16  # opening block per structural child; the stream doubles it when used up
 
 
 def structural_mutation(

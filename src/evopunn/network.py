@@ -380,6 +380,8 @@ def network_from_document(doc: dict) -> PunnNetwork:
         for i, w in _links(links, f"hidden node {j}"):
             if not 0 <= i < k:
                 raise ValueError(f"input index {i} out of range")
+            if exponent_mask[j, i]:
+                raise ValueError(f"hidden node {j}: input index {i} listed twice")
             exponents[j, i] = w
             exponent_mask[j, i] = True
     coefficients = np.zeros((outputs, m))
@@ -393,6 +395,8 @@ def network_from_document(doc: dict) -> PunnNetwork:
         for j, c in _links(_field(out, "links", f"output {l}"), f"output {l}"):
             if not 0 <= j < m:
                 raise ValueError(f"hidden index {j} out of range")
+            if coefficient_mask[l, j]:
+                raise ValueError(f"output {l}: hidden index {j} listed twice")
             coefficients[l, j] = c
             coefficient_mask[l, j] = True
     return PunnNetwork(exponents, exponent_mask, coefficients, coefficient_mask, biases)

@@ -524,6 +524,15 @@ class TestSerialization:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 deserialize_network(json.dumps(doc).replace('"@"', text))
 
+    def test_link_listed_twice_is_rejected(self, rng):
+        net = random_network(rng, 3, 2, 3)
+        node, output = network_document(net), network_document(net)
+        node["hidden_nodes"][0] = output["outputs"][0]["links"] = [[0, 1.0], [0, 2.0]]
+        for doc, message in ((node, "hidden node 0: input index 0 listed twice"),
+                             (output, "output 0: hidden index 0 listed twice")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                deserialize_network(json.dumps(doc))
+
     def test_empty_hidden_layer_is_rejected(self, rng):
         doc = network_document(random_network(rng, 3, 2, 3))
         doc["hidden_nodes"] = []
