@@ -34,8 +34,8 @@ _HALF = 0xFFFFFFFF
 
 
 class DrawStream:
-    """Draws from a PCG64 Generator, valid until close(). The generator must
-    not be used directly while the stream is open."""
+    """Draws from a PCG64 Generator, valid until close() or the end of its
+    with block. Until then the generator must not be used directly."""
 
     __slots__ = ("_bit_generator", "_start", "_words", "_pos", "_used", "_has_half", "_half")
 
@@ -145,6 +145,12 @@ class DrawStream:
     def uniforms(self, lo: float, hi: float, n: int) -> list[float]:
         span = hi - lo
         return [lo + span * ((word >> 11) * _TO_UNIT) for word in self._slice(n)]
+
+    def __enter__(self) -> DrawStream:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def close(self) -> None:
         """Put the generator where the draws served would have left it."""

@@ -6,6 +6,9 @@ individuals are mutated (the best few in parameter space under a simulated
 annealing schedule, the rest structurally) and re-evaluated. Mutation
 severity is driven by each individual's temperature 1 - fitness, and the
 parametric step sizes adapt with Rechenberg's one-fifth success rule.
+A generation runs in phases: the parametric children, each scored as it is
+made; every structural child, drawn in one DrawStream block, then scored
+(scoring takes no draw); then the elite copies, the step sizes and the sort.
 """
 
 from __future__ import annotations
@@ -86,8 +89,8 @@ class EvalCounter:
     """Counts fitness evaluations; incremented once per network scored."""
     total: int = 0
 
-    def add(self, n: int = 1) -> None:
-        self.total += n
+    def add(self) -> None:
+        self.total += 1
 
 
 @dataclass
@@ -105,7 +108,7 @@ def evaluate_individual(
     net: PunnNetwork, train, counter: EvalCounter, origin: str | None = None
 ) -> Individual:
     score = fitness(net, train)
-    counter.add(1)
+    counter.add()
     return Individual(net, score, count_connections(net), origin)
 
 
@@ -121,17 +124,14 @@ def population_mean_fitness(population: list[Individual]) -> float:
 def initialize_population(
     rng: np.random.Generator, params: EaParams, train, counter: EvalCounter
 ) -> list[Individual]:
-    """Score SEEDING_FACTOR * pop_size random networks; keep the best pop_size."""
-    candidates = [
-        evaluate_individual(
-            random_network(
-                rng, train.input_count, params.max_hidden, train.class_count,
-                params.weight_interval, params.link_density,
-            ),
-            train, counter,
-        )
+    """Draw SEEDING_FACTOR * pop_size random networks, score them and keep
+    the best pop_size."""
+    networks = [
+        random_network(rng, train.input_count, params.max_hidden, train.class_count,
+                       params.weight_interval, params.link_density)
         for _ in range(SEEDING_FACTOR * params.pop_size)
     ]
+    candidates = [evaluate_individual(net, train, counter) for net in networks]
     sort_population(candidates)
     return candidates[: params.pop_size]
 
@@ -434,11 +434,8 @@ def structural_mutation(
     draws is a stream open on the run's generator, or the generator itself,
     over which a stream is opened and closed for this one call."""
     if isinstance(draws, np.random.Generator):
-        stream = DrawStream(draws)
-        try:
+        with DrawStream(draws) as stream:
             return _mutate(ind, stream, params)
-        finally:
-            stream.close()
     return _mutate(ind, draws, params)
 
 
@@ -482,24 +479,18 @@ def evolve_generation(
 ) -> list[Individual]:
     """One generational step on a sorted population; returns the next sorted
     population of the same size. Step sizes adapt at the end of the step."""
-    n = len(population)
-    n_elite, n_param, n_struct = generation_split(n)
-    elite = population[:n_elite]
-    next_population: list[Individual] = []
-    for ind in population[:n_param]:
-        next_population.append(
-            parametric_mutation(ind, state, rng, train, counter, params.weight_interval)
-        )
-    # every structural draw comes from one stream of raw words; closing it
-    # puts the generator where numpy's own calls would have left it
-    draws = DrawStream(rng, STRUCTURAL_WORDS * n_struct)
-    try:
-        for ind in population[n_param : n_param + n_struct]:
-            mutated = structural_mutation(ind, draws, params)
-            next_population.append(evaluate_individual(mutated, train, counter, ind.origin))
-    finally:
-        draws.close()
-    next_population.extend(elite)
+    n_elite, n_param, n_struct = generation_split(len(population))
+    # a parametric child's acceptance draw depends on its score
+    next_population = [
+        parametric_mutation(ind, state, rng, train, counter, params.weight_interval)
+        for ind in population[:n_param]
+    ]
+    parents = population[n_param : n_param + n_struct]
+    with DrawStream(rng, STRUCTURAL_WORDS * n_struct) as draws:
+        children = [structural_mutation(ind, draws, params) for ind in parents]
+    next_population += [evaluate_individual(net, train, counter, ind.origin)
+                        for net, ind in zip(children, parents)]
+    next_population += population[:n_elite]
     adapt_variances(state)
     sort_population(next_population)
     return next_population

@@ -379,7 +379,7 @@ def network_from_document(doc: dict) -> PunnNetwork:
     for j, links in enumerate(nodes):
         for i, w in _links(links, f"hidden node {j}"):
             if not 0 <= i < k:
-                raise ValueError(f"input index {i} out of range")
+                raise ValueError(f"hidden node {j}: input index {i} out of range")
             if exponent_mask[j, i]:
                 raise ValueError(f"hidden node {j}: input index {i} listed twice")
             exponents[j, i] = w
@@ -394,7 +394,7 @@ def network_from_document(doc: dict) -> PunnNetwork:
         biases[l] = _finite(_field(out, "bias", f"output {l}"), f"output {l}: bias")
         for j, c in _links(_field(out, "links", f"output {l}"), f"output {l}"):
             if not 0 <= j < m:
-                raise ValueError(f"hidden index {j} out of range")
+                raise ValueError(f"output {l}: hidden index {j} out of range")
             if coefficient_mask[l, j]:
                 raise ValueError(f"output {l}: hidden index {j} listed twice")
             coefficients[l, j] = c

@@ -84,6 +84,28 @@ class TestDrawStream:
         stream.close()
         assert got == (expected_rng.random(500) < p).tolist()
 
+    @pytest.mark.parametrize("half_used", [False, True])
+    def test_with_block_closes_the_stream(self, half_used):
+        expected_rng, got_rng = twins(5, half_used)
+        with DrawStream(got_rng, 2) as stream:
+            got = [stream.integers(7), stream.random(), stream.uniforms(-5.0, 5.0, 3)]
+        assert got == [int(expected_rng.integers(0, 7)), expected_rng.random(),
+                       expected_rng.uniform(-5.0, 5.0, 3).tolist()]
+        assert got_rng.bit_generator.state == expected_rng.bit_generator.state
+
+    def test_with_block_closes_the_stream_when_its_body_raises(self):
+        expected_rng, got_rng = twins(9, False)
+        before = got_rng.bit_generator.state
+        with pytest.raises(KeyError, match="body"):
+            with DrawStream(got_rng) as stream:
+                stream.random()
+                stream.integers(3)
+                raise KeyError("body")
+        expected_rng.random()
+        expected_rng.integers(0, 3)
+        assert got_rng.bit_generator.state == expected_rng.bit_generator.state
+        assert got_rng.bit_generator.state != before
+
     def test_integers_beyond_32_bits_are_refused(self):
         stream = DrawStream(np.random.default_rng(1))
         with pytest.raises(ValueError, match=r"^integers\(n\) serves 1 <= n < 2\*\*32, "

@@ -641,6 +641,25 @@ class TestEvolveGeneration:
             _, _, counter = self.run_one(rng, toy_train, pop_size=n)
             assert counter.total == (9 * n) // 10
 
+    def test_structural_children_are_all_drawn_then_scored(self, rng, toy_train, monkeypatch):
+        params = params_for(toy_train, pop_size=20)
+        pop = initialize_population(rng, params, toy_train, EvalCounter())
+        state = MutationState(params.alpha1, params.alpha2)
+        calls = []
+
+        def logged(name, fn):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(evolution, "fitness", logged("F", evolution.fitness))
+        monkeypatch.setattr(evolution, "structural_mutation",
+                            logged("S", evolution.structural_mutation))
+        evolve_generation(pop, state, rng, params, toy_train, EvalCounter())
+        _, n_param, n_struct = generation_split(20)
+        assert calls == ["F"] * n_param + ["S"] * n_struct + ["F"] * n_struct
+
     def test_elitism_never_worsens_best(self, rng, toy_train):
         params = params_for(toy_train, pop_size=10, gen=1)
         counter = EvalCounter()

@@ -533,6 +533,22 @@ class TestSerialization:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 deserialize_network(json.dumps(doc))
 
+    @pytest.mark.parametrize("i", [3, -1])
+    def test_input_index_out_of_range_names_the_node(self, rng, i):
+        net = random_network(rng, 3, 2, 3)
+        doc = network_document(net)
+        doc["hidden_nodes"][0] = [[i, 1.0]]
+        with pytest.raises(ValueError, match=f"^hidden node 0: input index {i} out of range$"):
+            deserialize_network(json.dumps(doc))
+
+    @pytest.mark.parametrize("j", [2, -1])
+    def test_hidden_index_out_of_range_names_the_output(self, rng, j):
+        net = random_network(rng, 3, 2, 3)
+        doc = network_document(net)
+        doc["outputs"][1]["links"] = [[j, 1.0]]
+        with pytest.raises(ValueError, match=f"^output 1: hidden index {j} out of range$"):
+            deserialize_network(json.dumps(doc))
+
     def test_empty_hidden_layer_is_rejected(self, rng):
         doc = network_document(random_network(rng, 3, 2, 3))
         doc["hidden_nodes"] = []
