@@ -129,6 +129,9 @@ def load_schema(path) -> list[ColumnSpec]:
                 if kind == "continuous":
                     raise ValueError(f"{path}:{lineno}: continuous column cannot declare values")
                 vocabulary = [v.strip() for v in parts[2].split("|") if v.strip()]
+                repeated = [v for i, v in enumerate(vocabulary) if v in vocabulary[:i]]
+                if repeated:
+                    raise ValueError(f"{path}:{lineno}: value {repeated[0]!r} is listed twice")
             columns.append(ColumnSpec(name, kind, vocabulary))
     if not columns:
         raise ValueError(f"{path}: schema file declares no columns")

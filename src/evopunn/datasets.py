@@ -73,6 +73,8 @@ def waveform_rows(n: int = 5000, seed: int = 1) -> tuple[np.ndarray, np.ndarray]
 
 def write_waveform(out_dir, n: int = 5000, seed: int = 1) -> tuple[Path, Path]:
     """Write waveform.csv and waveform.schema; returns their paths."""
+    if n < 1:
+        raise ValueError(f"row count n must be at least 1, got {n}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     attrs, labels = waveform_rows(n, seed)

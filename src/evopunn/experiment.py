@@ -134,13 +134,10 @@ def run_single(
     params = config.ea_params()
     started = time.perf_counter()
     if config.method == "tsea":
-        best, counter, history = run_two_stage(
-            params, rng, train, counter, on_generation=on_generation
-        )
-        generations = history.total_generations
+        population, generations = run_two_stage(params, rng, train, counter, on_generation)
     else:
         population, generations = run_stage("run", params, rng, train, counter, on_generation)
-        best = population[0]
+    best = population[0]
     elapsed = time.perf_counter() - started
     record = RunRecord(
         run_index=run_index,

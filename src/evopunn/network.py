@@ -55,15 +55,6 @@ class PunnNetwork:
     def class_count(self) -> int:
         return self.biases.shape[0] + 1
 
-    def clone(self) -> "PunnNetwork":
-        return PunnNetwork(
-            self.exponents.copy(),
-            self.exponent_mask.copy(),
-            self.coefficients.copy(),
-            self.coefficient_mask.copy(),
-            self.biases.copy(),
-        )
-
     def validate(self, weight_interval: tuple[float, float] | None = None) -> None:
         """Raise ValueError if the structural invariants are broken."""
         m, k = self.exponents.shape
@@ -135,11 +126,6 @@ def class_probabilities(outputs) -> np.ndarray:
     full = np.append(f, 0.0)
     e = np.exp(full - full.max())
     return e / e.sum()
-
-
-def predict_class(net: PunnNetwork, pattern) -> int:
-    """Most probable class index; ties resolve to the lowest index."""
-    return int(np.argmax(class_probabilities(evaluate_outputs(net, pattern))))
 
 
 def predict_classes(net: PunnNetwork, dataset) -> np.ndarray:

@@ -3,20 +3,21 @@
 run_stage is the one path from a population to an evolved one: it seeds
 SEEDING_FACTOR * N random networks tagged with the stage's label, unless it
 is handed a population, and applies the main loop. A full-length run is one
-stage, "run". A two-stage run is three. Stage one builds and briefly evolves
-two independent populations whose networks differ in their hidden-node cap
-(neu and neu + 1), with no early stopping. The best half of each is merged
-into a single population that the standard loop then evolves to completion
-under the larger cap. Every generation of every stage reaches the caller's
-callback through run_evolution as on_generation(stage, gen_index,
-population, counter), with stage "run", "stage1-a", "stage1-b" or "stage2".
-Also provides the closed-form evaluation accounting that compares this
-schedule against a pair of independent full-length runs.
+stage, "run", and a two-stage run three; both return (final population,
+generations executed). Stage one builds and briefly evolves two independent
+populations whose networks differ in their hidden-node cap (neu and
+neu + 1), with no early stopping. The best half of each is merged into a
+single population that the standard loop then evolves to completion under
+the larger cap. Every generation of every stage reaches the caller's callback
+through run_evolution as on_generation(stage, gen_index, population,
+counter), with stage "run", "stage1-a", "stage1-b" or "stage2". Also
+provides the closed-form evaluation accounting that compares this schedule
+against a pair of independent full-length runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,17 +35,6 @@ from .evolution import (
 
 STAGE_A = "stage1-a"
 STAGE_B = "stage1-b"
-
-
-@dataclass(frozen=True)
-class TwoStageHistory:
-    stage1_generations: int
-    merged_population: list[Individual]  # stage two's initial population
-    stage2_generations: int
-
-    @property
-    def total_generations(self) -> int:
-        return 2 * self.stage1_generations + self.stage2_generations
 
 
 def final_hidden_cap(neu: int) -> int:
@@ -104,9 +94,9 @@ def run_two_stage(
     params: EaParams,
     rng: np.random.Generator,
     train,
-    counter: EvalCounter | None = None,
+    counter: EvalCounter,
     on_generation=None,
-) -> tuple[Individual, EvalCounter, TwoStageHistory]:
+) -> tuple[list[Individual], int]:
     """Full two-stage run. params.max_hidden is the smaller cap, neu; the
     second stage-one population and all of stage two run at
     final_hidden_cap(neu), neu + 1.
@@ -116,10 +106,10 @@ def run_two_stage(
     execute in parallel without changing the outcome. Stage one runs
     stage1_length(gen) generations per population without early stopping;
     stage two applies the standard loop with early stopping to the merged
-    population as it is.
+    population as it is. Returns run_stage's (final population, generations
+    executed), the generations counting both stage-one runs.
     """
     _require_even(params.pop_size)
-    counter = counter if counter is not None else EvalCounter()
     rng_a, rng_b, rng_stage2 = rng.spawn(3)
     final_params = replace(params, max_hidden=final_hidden_cap(params.max_hidden))
     stage1 = stage1_length(params.gen)
@@ -129,11 +119,9 @@ def run_two_stage(
         for label, stage_params, stream in (
             (STAGE_A, params, rng_a), (STAGE_B, final_params, rng_b))
     ]
-    merged = merge_populations(*halves)
-    final_population, executed = run_stage(
-        "stage2", final_params, rng_stage2, train, counter, on_generation, population=merged
-    )
-    return final_population[0], counter, TwoStageHistory(stage1, merged, executed)
+    population, executed = run_stage("stage2", final_params, rng_stage2, train, counter,
+                                     on_generation, population=merge_populations(*halves))
+    return population, 2 * stage1 + executed
 
 
 def expected_evaluations(pop_size: int, gen: int) -> dict[str, int]:

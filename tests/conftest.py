@@ -5,6 +5,7 @@ import pytest
 
 from evopunn.data import NormalizationParams, ProcessedDataset
 from evopunn.network import PunnNetwork
+from evopunn.twostage import STAGE_A, STAGE_B, merge_populations
 
 
 def build_net(input_count, class_count, hidden, outputs) -> PunnNetwork:
@@ -80,6 +81,22 @@ def hand_cross_entropy(net, dataset) -> float:
         probs = [v / sum(exps) for v in exps]
         total += -math.log(probs[label])
     return total / dataset.pattern_count
+
+
+class StageLog:
+    """on_generation callback keeping each stage's last generation index and
+    population, so a test can read what a run passed between its stages."""
+
+    def __init__(self):
+        self.last = {}
+
+    def __call__(self, stage, gen_index, population, counter):
+        self.last[stage] = (gen_index, population)
+
+    def merged(self):
+        """Stage two's initial population, rebuilt by merging the last
+        populations of stage one."""
+        return merge_populations(self.last[STAGE_A][1], self.last[STAGE_B][1])
 
 
 @pytest.fixture

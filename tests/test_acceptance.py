@@ -20,7 +20,14 @@ from evopunn.cli import main as cli_main
 from evopunn.datasets import write_balance_scale, write_waveform
 from evopunn.network import network_document
 
-from conftest import build_net, hand_cross_entropy, hand_outputs, make_dataset, random_dataset
+from conftest import (
+    StageLog,
+    build_net,
+    hand_cross_entropy,
+    hand_outputs,
+    make_dataset,
+    random_dataset,
+)
 import uci_data
 
 WORKERS = max(1, os.cpu_count() or 1)
@@ -67,11 +74,13 @@ class TestCriterion1Accounting:
         train = small_train(rng)
         params = e.EaParams(gen=10, max_hidden=2, pop_size=1000)
         with criterion("1b (instrumented run matches closed form)"):
-            best, counter, history = e.run_two_stage(
-                params, np.random.default_rng(MASTER_SEED), train
+            counter, log = e.EvalCounter(), StageLog()
+            _, generations = e.run_two_stage(
+                params, np.random.default_rng(MASTER_SEED), train, counter, log
             )
             expected = e.expected_evaluations(1000, 10)["tsea"]
-            assert history.stage2_generations == 10  # no early stop happened
+            assert log.last["stage2"][0] == 10  # no early stop happened
+            assert generations == 2 * (10 // 10) + 10
             assert counter.total == expected
 
 
@@ -280,10 +289,11 @@ class TestCriterion4Properties:
             two_stage = []
             for _ in range(2):
                 params = e.EaParams(gen=10, max_hidden=2, pop_size=10)
-                best, counter, _ = e.run_two_stage(
-                    params, np.random.default_rng(424242), train
+                counter = e.EvalCounter()
+                population, _ = e.run_two_stage(
+                    params, np.random.default_rng(424242), train, counter
                 )
-                two_stage.append((e.serialize_network(best.net), counter.total))
+                two_stage.append((e.serialize_network(population[0].net), counter.total))
             assert two_stage[0] == two_stage[1]
 
     def test_stratified_partition_100_datasets(self, rng):
@@ -315,10 +325,10 @@ class TestCriterion5MergeStructure:
         neu = 2
         params = e.EaParams(gen=10, max_hidden=neu, pop_size=1000)
         with criterion("5 (merged population structure at N=1000)"):
-            best, counter, history = e.run_two_stage(
-                params, np.random.default_rng(MASTER_SEED), train
-            )
-            merged = history.merged_population
+            log = StageLog()
+            e.run_two_stage(params, np.random.default_rng(MASTER_SEED), train,
+                            e.EvalCounter(), log)
+            merged = log.merged()
             assert len(merged) == 1000
             assert sum(ind.origin == "stage1-a" for ind in merged) == 500
             assert sum(ind.origin == "stage1-b" for ind in merged) == 500

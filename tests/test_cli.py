@@ -53,6 +53,13 @@ class TestPipelineVerbs:
         out = capsys.readouterr().out
         assert "625 patterns" in out and "4 inputs" in out and "3 classes" in out
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_waveform_without_rows_is_one_line(self, tmp_path, capsys, n):
+        out = tmp_path / "raw"
+        code = main(["gendata", "--preset", "waveform", "--n", str(n), "--out", str(out)])
+        assert code == 2
+        assert_one_line_error(capsys, "gendata", f"row count n must be at least 1, got {n}")
+        assert not out.exists()
 
     def test_name_with_a_line_break_is_one_line(self, tmp_path, capsys):
         schema = tmp_path / "s"

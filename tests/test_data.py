@@ -92,6 +92,18 @@ class TestProcessedDataset:
             self.build().labels = np.array([1, 1, 0])
 
 
+class TestLoadSchema:
+    @pytest.mark.parametrize("line, value", [
+        ("class,class,B|L|B", "B"),
+        ("a,nominal,x| x", "x"),
+    ], ids=["class", "nominal"])
+    def test_rejects_a_value_listed_twice(self, tmp_path, line, value):
+        path = write(tmp_path, "s", f"w,continuous\n{line}\n")
+        with pytest.raises(ValueError) as caught:
+            load_schema(path)
+        assert str(caught.value) == f"{path}:2: value {value!r} is listed twice"
+
+
 class TestLoadTable:
     def test_three_rows(self, tmp_path):
         schema = load_schema(write(tmp_path, "s", BASIC_SCHEMA))

@@ -33,6 +33,11 @@ from evopunn.network import (
 from conftest import build_net, make_dataset, random_dataset
 
 
+def clone(net):
+    """A network with copies of all five of its arrays."""
+    return PunnNetwork(*(getattr(net, f.name).copy() for f in fields(net)))
+
+
 def params_for(train, **overrides):
     defaults = dict(gen=10, max_hidden=3, pop_size=10)
     defaults.update(overrides)
@@ -383,7 +388,7 @@ def _reference_add_connection(net, rng, params):
         return net
     lo, hi = params.weight_interval
     picks = rng.choice(pool, size=min(wanted, pool.size), replace=False)
-    out = net.clone()
+    out = clone(net)
     split = out.exponent_mask.size
     for flat in picks:
         flat = int(flat)
@@ -403,7 +408,7 @@ def _reference_delete_connection(net, rng, params):
     if pool.size == 0:
         return net
     picks = rng.choice(pool, size=min(wanted, pool.size), replace=False)
-    out = net.clone()
+    out = clone(net)
     split = out.exponent_mask.size
     for flat in picks:
         flat = int(flat)
@@ -438,7 +443,7 @@ def _reference_fuse_nodes(net, rng, params):
     coef_mask = net.coefficient_mask[:, a] | net.coefficient_mask[:, b]
     summed = net.coefficients[:, a] + net.coefficients[:, b]
     coefficients[coef_mask] = np.clip(summed[coef_mask], lo, hi)
-    out = net.clone()
+    out = clone(net)
     out.exponents[keep] = exponents
     out.exponent_mask[keep] = mask
     out.coefficients[:, keep] = coefficients
@@ -712,7 +717,7 @@ class TestRunEvolution:
         params = params_for(toy_train, gen=100, pop_size=10, structural_ops=())
         net = random_network(rng, 2, 3, 2)
         ind = evaluate_individual(net, toy_train, EvalCounter())
-        pop = [Individual(ind.net.clone(), ind.fitness, ind.connections) for _ in range(10)]
+        pop = [Individual(clone(ind.net), ind.fitness, ind.connections) for _ in range(10)]
         state = MutationState(0.0, 0.0)
         final, executed = run_evolution(pop, state, rng, params, toy_train, EvalCounter())
         assert executed == 20
@@ -722,7 +727,7 @@ class TestRunEvolution:
         params = params_for(toy_train, gen=5, pop_size=10, structural_ops=())
         net = random_network(rng, 2, 3, 2)
         ind = evaluate_individual(net, toy_train, EvalCounter())
-        pop = [Individual(ind.net.clone(), ind.fitness, ind.connections) for _ in range(10)]
+        pop = [Individual(clone(ind.net), ind.fitness, ind.connections) for _ in range(10)]
         state = MutationState(0.0, 0.0)
         reference = serialize_network(pop[0].net)
         final, _ = run_evolution(pop, state, rng, params, toy_train, EvalCounter(),
@@ -771,7 +776,7 @@ class TestSortPopulation:
         net_b = build_net(2, 2, [{0: 1.0}], [(0.0, {0: 1.0})])
         first = Individual(net_a, 0.5, count_connections(net_a))
         second = Individual(net_b, 0.5, count_connections(net_b))
-        third = Individual(net_b.clone(), 0.5, count_connections(net_b))
+        third = Individual(clone(net_b), 0.5, count_connections(net_b))
         pop = [first, second, third]
         sort_population(pop)
         assert pop[0] is second and pop[1] is third and pop[2] is first

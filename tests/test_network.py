@@ -18,13 +18,18 @@ from evopunn.network import (
     evaluate_outputs,
     fitness,
     network_document,
-    predict_class,
     predict_classes,
     random_network,
     serialize_network,
 )
 
 from conftest import build_net, hand_cross_entropy, hand_outputs, make_dataset, random_dataset
+
+
+def predict_class(net, pattern) -> int:
+    """Most probable class index of one pattern by the scalar oracle; ties
+    resolve to the lowest index."""
+    return int(np.argmax(class_probabilities(evaluate_outputs(net, pattern))))
 
 
 class TestEvaluateOutputs:

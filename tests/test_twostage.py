@@ -14,7 +14,7 @@ from evopunn.twostage import (
     run_two_stage,
 )
 
-from conftest import make_dataset
+from conftest import StageLog, make_dataset
 
 
 def two_stage_params(pop_size=10, gen=10, neu=2, **overrides):
@@ -98,12 +98,13 @@ class TestRunTwoStage:
     def test_odd_population_rejected(self, toy_train):
         params = two_stage_params(pop_size=5)
         with pytest.raises(ValueError, match="even"):
-            run_two_stage(params, np.random.default_rng(0), toy_train)
+            run_two_stage(params, np.random.default_rng(0), toy_train, EvalCounter())
 
     def test_merged_population_structure(self, rng, toy_train):
         params = two_stage_params(pop_size=10, gen=20, neu=2)
-        best, counter, history = run_two_stage(params, rng, toy_train)
-        merged = history.merged_population
+        log = StageLog()
+        run_two_stage(params, rng, toy_train, EvalCounter(), on_generation=log)
+        merged = log.merged()
         assert len(merged) == 10
         assert sum(ind.origin == "stage1-a" for ind in merged) == 5
         assert sum(ind.origin == "stage1-b" for ind in merged) == 5
@@ -121,14 +122,18 @@ class TestRunTwoStage:
             size = max(ind.net.hidden_count for ind in population)
             largest[stage] = max(largest.get(stage, 0), size)
 
-        run_two_stage(params, np.random.default_rng(9), toy_train, on_generation=log)
+        run_two_stage(params, np.random.default_rng(9), toy_train, EvalCounter(),
+                      on_generation=log)
         assert final_hidden_cap(2) == 3
         assert largest == {"stage1-a": 2, "stage1-b": 3, "stage2": 3}
 
     def test_stage1_length(self, toy_train):
         params = two_stage_params(gen=20)
-        _, _, history = run_two_stage(params, np.random.default_rng(3), toy_train)
-        assert history.stage1_generations == 2
+        log = StageLog()
+        _, generations = run_two_stage(params, np.random.default_rng(3), toy_train,
+                                       EvalCounter(), on_generation=log)
+        assert log.last["stage1-a"][0] == log.last["stage1-b"][0] == 2
+        assert generations == 2 * 2 + log.last["stage2"][0]
 
     # (pop, gen, tsea, edd_single) with early stopping off: seeding 10 * pop,
     # floor(0.9 * pop) evaluations per generation, gen // 10 stage-one
@@ -142,10 +147,12 @@ class TestRunTwoStage:
         # early stopping only exists in stage 2; disable it via a huge window
         monkeypatch.setattr(evolution, "STALL_GENERATIONS", 10_000)
         params = two_stage_params(pop_size=pop_size, gen=gen, neu=2)
-        best, counter, history = run_two_stage(params, np.random.default_rng(5), toy_train)
+        counter, log = EvalCounter(), StageLog()
+        _, generations = run_two_stage(params, np.random.default_rng(5), toy_train, counter,
+                                       on_generation=log)
         assert counter.total == expected_evaluations(pop_size, gen)["tsea"] == tsea
-        assert history.stage2_generations == gen
-        assert history.total_generations == 2 * (gen // 10) + gen
+        assert log.last["stage2"][0] == gen
+        assert generations == 2 * (gen // 10) + gen
 
     @pytest.mark.parametrize("pop_size,gen,tsea,edd_single", SCHEDULES)
     def test_single_run_counter_matches_closed_form(
@@ -174,13 +181,13 @@ class TestRunTwoStage:
         outcomes = []
         for _ in range(2):
             params = two_stage_params(pop_size=10, gen=10, neu=2)
-            best, counter, history = run_two_stage(
-                params, np.random.default_rng(77), toy_train
-            )
-            outcomes.append((serialize_network(best.net), counter.total))
+            counter = EvalCounter()
+            population, _ = run_two_stage(params, np.random.default_rng(77), toy_train, counter)
+            outcomes.append((serialize_network(population[0].net), counter.total))
         assert outcomes[0] == outcomes[1]
 
     def test_best_at_least_as_good_as_merge(self, rng, toy_train):
         params = two_stage_params(pop_size=10, gen=15, neu=2)
-        best, _, history = run_two_stage(params, rng, toy_train)
-        assert best.fitness >= history.merged_population[0].fitness - 1e-15
+        log = StageLog()
+        population, _ = run_two_stage(params, rng, toy_train, EvalCounter(), on_generation=log)
+        assert population[0].fitness >= log.merged()[0].fitness - 1e-15
