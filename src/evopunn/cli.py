@@ -36,8 +36,8 @@ def _add_gendata(sub):
     p = sub.add_parser("gendata", help="write a built-in benchmark dataset as CSV + schema")
     p.add_argument("--preset", required=True, choices=sorted(datasets.GENERATORS))
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=1, help="generator seed (waveform only)")
-    p.add_argument("--n", type=int, default=5000, help="row count (waveform only)")
+    p.add_argument("--seed", type=int, help="generator seed (waveform only; default 1)")
+    p.add_argument("--n", type=int, help="row count (waveform only; default 5000)")
 
 
 def _add_preprocess(sub):
@@ -111,11 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gendata(args) -> int:
-    generate = datasets.GENERATORS[args.preset]
-    if args.preset == "waveform":
-        csv_path, schema_path = generate(args.out, n=args.n, seed=args.seed)
-    else:
-        csv_path, schema_path = generate(args.out)
+    options = {name: value for name in ("n", "seed") if (value := getattr(args, name)) is not None}
+    if options and args.preset != "waveform":
+        raise ValueError(f"--{next(iter(options))} applies to --preset waveform only")
+    csv_path, schema_path = datasets.GENERATORS[args.preset](args.out, **options)
     print(f"wrote {csv_path} and {schema_path}")
     return 0
 

@@ -1,15 +1,18 @@
 """Dataset ingestion and preprocessing.
 
-Pipeline: CSV + schema -> RawDataset -> imputation -> nominal-to-indicator
-encoding -> per-feature rescaling into [1, 2] -> ProcessedDataset, plus a
-seeded stratified holdout split. A RawDataset holds its table by column, the
-layout that imputation and encoding read. Statistics for imputation and
-rescaling are always computed over the full dataset, before any splitting.
+Pipeline: CSV + schema -> load_table -> RawDataset -> one pass per column
+(fill missing cells, then encode: a nominal column becomes 0/1 indicators)
+-> per-feature rescaling into [1, 2] -> ProcessedDataset, plus a seeded
+stratified holdout split. A RawDataset holds its table by column, the layout
+that pass reads. Statistics for filling and rescaling are always computed
+over the full dataset, before any splitting.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
@@ -194,9 +197,12 @@ def _parse_column(path, col: ColumnSpec, text: tuple[str, ...]):
     fixed = bool(col.vocabulary)
     if col.kind == "continuous":
         try:
-            return list(map(float, text)), None  # float() strips like str.strip()
+            values = list(map(float, text))  # float() strips like str.strip()
         except ValueError:
             pass  # a missing or bad cell: scan for it
+        else:
+            if math.isfinite(sum(values)):  # a NaN or an infinity makes it non-finite
+                return values, None
     values = []
     for r, cell in enumerate(text):
         cell = cell.strip()
@@ -206,11 +212,16 @@ def _parse_column(path, col: ColumnSpec, text: tuple[str, ...]):
             values.append(None)
         elif col.kind == "continuous":
             try:
-                values.append(float(cell))
+                value = float(cell)
             except ValueError:
                 return values, (r, ValueError(
                     f"{path}:{r + 2}: {cell!r} is not numeric for column {col.name!r}"
                 ))
+            if not math.isfinite(value):
+                return values, (r, ValueError(
+                    f"{path}:{r + 2}: {cell!r} is not a finite number for column {col.name!r}"
+                ))
+            values.append(value)
         else:
             if cell not in col.vocabulary:
                 if fixed:
@@ -222,58 +233,21 @@ def _parse_column(path, col: ColumnSpec, text: tuple[str, ...]):
     return values, None
 
 
-def impute_missing(raw: RawDataset) -> RawDataset:
-    """Fill missing cells: continuous columns with the column mean, nominal
-    columns with the column mode (ties resolved by vocabulary order).
-    Statistics use every row of the dataset."""
-    filled = []
-    for col, column in zip(raw.columns, raw.cells):
-        if None not in column:
-            filled.append(list(column))
-            continue
-        present = [v for v in column if v is not None]
-        if not present:
-            raise ValueError(f"column {col.name!r} has no values at all")
-        if col.kind == "continuous":
-            fill = sum(present) / len(present)
-        else:
-            counts = {v: 0 for v in col.vocabulary}
-            for v in present:
-                counts[v] += 1
-            best = max(counts.values())
-            fill = next(v for v in col.vocabulary if counts[v] == best)
-        filled.append([fill if v is None else v for v in column])
-    return RawDataset(raw.columns, filled)
-
-
-def encode_nominal(raw: RawDataset):
-    """Numeric table from an imputed dataset.
-
-    Continuous columns pass through; each nominal column with V vocabulary
-    values becomes V 0/1 indicator columns (one per value); the class column
-    becomes an integer label by vocabulary order.
-
-    Returns (matrix, labels, feature_names, class_names).
-    """
-    feature_names: list[str] = []
-    columns_out: list[np.ndarray] = []
-    for col, column in zip(raw.columns, raw.cells):
-        if None in column:
-            raise ValueError(f"column {col.name!r} still has missing values; impute first")
-        if col.kind == "class":
-            index_of = {v: i for i, v in enumerate(col.vocabulary)}
-            labels = np.array([index_of[v] for v in column], dtype=np.int64)
-            class_names = list(col.vocabulary)
-        elif col.kind == "continuous":
-            feature_names.append(col.name)
-            columns_out.append(np.asarray(column, dtype=float))
-        else:
-            for value in col.vocabulary:
-                feature_names.append(f"{col.name}={value}")
-                columns_out.append(np.asarray([1.0 if v == value else 0.0 for v in column]))
-
-    matrix = np.column_stack(columns_out) if columns_out else np.empty((len(labels), 0))
-    return matrix, labels, feature_names, class_names
+def _filled(col: ColumnSpec, column: list) -> list:
+    """column with its missing cells filled: a continuous column with its
+    mean, a nominal one with its mode (ties go to vocabulary order). A column
+    with no missing cell is returned as it is."""
+    if None not in column:
+        return column
+    present = [v for v in column if v is not None]
+    if not present:
+        raise ValueError(f"column {col.name!r} has no values at all")
+    if col.kind == "continuous":
+        fill = sum(present) / len(present)
+    else:
+        counts = Counter(present)
+        fill = max(col.vocabulary, key=counts.__getitem__)  # max keeps the first of a tie
+    return [fill if v is None else v for v in column]
 
 
 def fit_apply_normalization(matrix: np.ndarray) -> tuple[np.ndarray, NormalizationParams]:
@@ -287,11 +261,27 @@ def fit_apply_normalization(matrix: np.ndarray) -> tuple[np.ndarray, Normalizati
 
 
 def preprocess(raw: RawDataset) -> ProcessedDataset:
-    """Full pipeline from a loaded raw dataset: impute, encode, rescale."""
-    imputed = impute_missing(raw)
-    matrix, labels, feature_names, class_names = encode_nominal(imputed)
+    """Full pipeline from a loaded raw dataset in one pass per column: fill
+    missing cells, then encode (continuous as is, nominal as one 0/1 indicator
+    per vocabulary value, class as labels by vocabulary order); then rescale."""
+    feature_names: list[str] = []
+    features: list[list[float]] = []
+    for col, column in zip(raw.columns, raw.cells):
+        column = _filled(col, column)
+        if col.kind == "class":
+            index_of = {v: i for i, v in enumerate(col.vocabulary)}
+            labels = np.array([index_of[v] for v in column], dtype=np.int64)
+        elif col.kind == "continuous":
+            feature_names.append(col.name)
+            features.append(column)
+        else:
+            for value in col.vocabulary:
+                feature_names.append(f"{col.name}={value}")
+                features.append([1.0 if v == value else 0.0 for v in column])
+    # (F, N) even with no feature, then C-ordered (N, F)
+    matrix = np.array(features, dtype=float).reshape(len(features), len(labels)).T.copy()
     patterns, params = fit_apply_normalization(matrix)
-    return ProcessedDataset(patterns, labels, feature_names, class_names, params)
+    return ProcessedDataset(patterns, labels, feature_names, raw.class_labels, params)
 
 
 def preprocess_file(data_path, schema_path) -> ProcessedDataset:
@@ -310,22 +300,19 @@ def _train_counts(class_sizes: list[int], ratio: float) -> list[int]:
     counts = [min(int(round(e)), s) for e, s in zip(exact, class_sizes)]
     total_exact = ratio * sum(class_sizes)
     if abs(total_exact - round(total_exact)) < 1e-9:
-        target = int(round(total_exact))
-        adjusted: set[int] = set()
-        while sum(counts) != target:
-            over = sum(counts) > target
-            candidates = [
-                (counts[i] - exact[i] if over else exact[i] - counts[i],
-                 class_sizes[i], -i, i)
-                for i in range(len(counts))
-                if i not in adjusted
-                and (counts[i] > 0 if over else counts[i] < class_sizes[i])
-            ]
-            if not candidates:
-                raise ValueError("cannot reconcile per-class counts with the split ratio")
-            _, _, _, pick = max(candidates)
-            counts[pick] += -1 if over else 1
-            adjusted.add(pick)
+        # each class moves at most once, the largest gap first: ties go to
+        # the larger class, then to the lower index
+        excess = sum(counts) - int(round(total_exact))
+        over = excess > 0
+        movable = sorted(
+            ((counts[i] - exact[i] if over else exact[i] - counts[i], class_sizes[i], -i, i)
+             for i in range(len(counts)) if (counts[i] > 0 if over else counts[i] < class_sizes[i])),
+            reverse=True,
+        )
+        if len(movable) < abs(excess):
+            raise ValueError("cannot reconcile per-class counts with the split ratio")
+        for *_, i in movable[:abs(excess)]:
+            counts[i] += -1 if over else 1
     return counts
 
 
@@ -356,16 +343,8 @@ def stratified_holdout(
     train_idx = np.sort(np.concatenate(train_rows))
     test_idx = np.sort(np.concatenate(test_rows))
 
-    def subset(indices: np.ndarray) -> ProcessedDataset:
-        return ProcessedDataset(
-            dataset.patterns[indices],
-            dataset.labels[indices],
-            list(dataset.feature_names),
-            list(dataset.class_names),
-            dataset.normalization,
-        )
-
-    return subset(train_idx), subset(test_idx)
+    return tuple(replace(dataset, patterns=dataset.patterns[idx], labels=dataset.labels[idx])
+                 for idx in (train_idx, test_idx))
 
 
 def save_dataset(dataset: ProcessedDataset, path) -> None:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -60,6 +61,37 @@ class TestPipelineVerbs:
         assert code == 2
         assert_one_line_error(capsys, "gendata", f"row count n must be at least 1, got {n}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, digest", [
+        ([], "dfb8866eb8134e4420ddd8399232d19deb87dd635891343eed28ca09a1c15b72"),
+        (["--n", "200", "--seed", "4"],
+         "19c78408ef44501ec17a1b21903126c4fb6d314e79a3c9fbca0c982d9c216552"),
+    ], ids=["defaults", "given"])
+    def test_waveform_flags_reach_the_generator(self, tmp_path, capsys, flags, digest):
+        # the digests of tests/test_data.py's pinned waveform files: 5000
+        # rows with seed 1 when no flag is given
+        main(["gendata", "--preset", "waveform", *flags, "--out", str(tmp_path)])
+        csv_bytes = (tmp_path / "waveform.csv").read_bytes()
+        assert hashlib.sha256(csv_bytes).hexdigest() == digest
+
+    @pytest.mark.parametrize("flag, value", [("--n", "3"), ("--seed", "9")])
+    def test_balance_with_a_waveform_flag_is_one_line(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "raw"
+        code = main(["gendata", "--preset", "balance", flag, value, "--out", str(out)])
+        assert code == 2
+        assert_one_line_error(capsys, "gendata", f"{flag} applies to --preset waveform only")
+        assert not out.exists()
+
+    def test_non_finite_cell_is_one_line(self, tmp_path, capsys):
+        schema = tmp_path / "s"
+        schema.write_text("a,continuous\nclass,class\n")
+        data = tmp_path / "d.csv"
+        data.write_text("a,class\n1,x\nnan,y\n")
+        code = main(["preprocess", "--data", str(data), "--schema", str(schema),
+                     "--out", str(tmp_path / "p")])
+        assert code == 2
+        assert_one_line_error(capsys, "preprocess",
+                              f"{data}:3: 'nan' is not a finite number for column 'a'")
 
     def test_name_with_a_line_break_is_one_line(self, tmp_path, capsys):
         schema = tmp_path / "s"

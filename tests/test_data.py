@@ -5,14 +5,14 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from evopunn.data import (
     ColumnSpec,
     NormalizationParams,
     ProcessedDataset,
-    encode_nominal,
+    _train_counts,
     fit_apply_normalization,
-    impute_missing,
     load_dataset,
     load_schema,
     load_table,
@@ -21,7 +21,7 @@ from evopunn.data import (
     save_dataset,
     stratified_holdout,
 )
-from evopunn.datasets import write_balance_scale, write_waveform
+from evopunn.datasets import GENERATORS, write_balance_scale, write_waveform
 
 from conftest import make_dataset
 
@@ -155,17 +155,33 @@ class TestLoadTable:
     def test_continuous_column_with_missing_cells(self, tmp_path):
         # float() of the stripped cell, with "?", "" and blanks as missing
         schema = load_schema(write(tmp_path, "s", "a,continuous\nclass,class\n"))
-        data = write(tmp_path, "d.csv", "a,class\n 1.5 ,x\n?,y\n,x\n  ,y\nnan,x\n1_000,y\n")
+        data = write(tmp_path, "d.csv", "a,class\n 1.5 ,x\n?,y\n,x\n  ,y\n1_000,y\n")
         a = load_table(data, schema).cells[0]
-        assert a[:4] == [1.5, None, None, None]
-        assert math.isnan(a[4]) and a[5] == 1000.0
+        assert a == [1.5, None, None, None, 1000.0]
 
     def test_continuous_column_without_missing_cells(self, tmp_path):
         # float() of each cell as it stands, with the same results
         schema = load_schema(write(tmp_path, "s", "a,continuous\nclass,class\n"))
-        data = write(tmp_path, "d.csv", "a,class\n 1.5 ,x\nnan,y\n1_000,x\n-2e-3\t,y\n")
+        data = write(tmp_path, "d.csv", "a,class\n 1.5 ,x\n1_000,x\n-2e-3\t,y\n")
         a = load_table(data, schema).cells[0]
-        assert a[0] == 1.5 and math.isnan(a[1]) and a[2:] == [1000.0, -0.002]
+        assert a == [1.5, 1000.0, -0.002]
+
+    @pytest.mark.parametrize("cell", ["nan", "-inf", "Infinity", "1e999"])
+    @pytest.mark.parametrize("first", ["1", "?"], ids=["no-missing-cell", "a-missing-cell"])
+    def test_non_finite_number_rejected(self, tmp_path, cell, first):
+        # a missing cell in column a skips its fast path; either way line 3
+        # holds the first bad cell, before the one in column b on line 4
+        schema = load_schema(write(tmp_path, "s", "a,continuous\nb,continuous\nclass,class\n"))
+        data = write(tmp_path, "d.csv", f"a,b,class\n{first},2,x\n {cell} ,3,y\n4,inf,x\n")
+        with pytest.raises(ValueError,
+                           match=rf"d\.csv:3: '{cell}' is not a finite number for column 'a'$"):
+            load_table(data, schema)
+
+    def test_finite_column_whose_sum_overflows(self, tmp_path):
+        # the sum is infinite, but every cell is finite
+        schema = load_schema(write(tmp_path, "s", "a,continuous\nclass,class\n"))
+        data = write(tmp_path, "d.csv", "a,class\n1e308,x\n1e308,y\n")
+        assert load_table(data, schema).cells[0] == [1e308, 1e308]
 
     @pytest.mark.parametrize("body, message", [
         ("1,xyz,x\n2,2,\n", r"d\.csv:2: 'xyz' is not numeric for column 'b'"),
@@ -188,35 +204,36 @@ class TestLoadTable:
 
 
 class TestImpute:
+    """Missing cells are filled inside preprocess; the rescaled patterns show
+    the fill: x in [1, 3] maps to 1 + (x - 1) / 2, an indicator to 1 or 2."""
+
     def make_raw(self, tmp_path, body):
         schema = load_schema(write(tmp_path, "s", BASIC_SCHEMA))
         data = write(tmp_path, "d.csv", "a,colour,class\n" + body)
         return load_table(data, schema)
 
     def test_continuous_mean(self, tmp_path):
-        raw = self.make_raw(tmp_path, "1,red,x\n?,red,y\n3,red,x\n")
-        filled = impute_missing(raw)
-        assert filled.cells[0][1] == pytest.approx(2.0)
+        ds = preprocess(self.make_raw(tmp_path, "1,red,x\n?,red,y\n3,red,x\n"))
+        assert ds.patterns[:, 0].tolist() == [1.0, 1.5, 2.0]  # the mean 2.0
 
     def test_nominal_mode(self, tmp_path):
-        raw = self.make_raw(tmp_path, "1,a,x\n1,a,y\n1,b,x\n1,?,y\n")
-        filled = impute_missing(raw)
-        assert filled.cells[1][3] == "a"
+        ds = preprocess(self.make_raw(tmp_path, "1,a,x\n1,a,y\n1,b,x\n1,?,y\n"))
+        assert ds.feature_names == ["a", "colour=a", "colour=b"]
+        assert ds.patterns[3, 1:].tolist() == [2.0, 1.0]  # the mode a
 
     def test_mode_tie_breaks_by_vocabulary_order(self, tmp_path):
-        raw = self.make_raw(tmp_path, "1,a,x\n1,b,y\n1,?,x\n")
-        filled = impute_missing(raw)
-        assert filled.cells[1][2] == "a"  # first appearance wins the tie
+        ds = preprocess(self.make_raw(tmp_path, "1,a,x\n1,b,y\n1,?,x\n"))
+        assert ds.patterns[2, 1:].tolist() == [2.0, 1.0]  # first appearance wins the tie
 
     def test_fully_missing_column(self, tmp_path):
         raw = self.make_raw(tmp_path, "?,red,x\n?,red,y\n")
-        with pytest.raises(ValueError, match="no values"):
-            impute_missing(raw)
+        with pytest.raises(ValueError, match="column 'a' has no values at all"):
+            preprocess(raw)
 
     def test_original_untouched(self, tmp_path):
         raw = self.make_raw(tmp_path, "1,red,x\n?,red,y\n")
-        impute_missing(raw)
-        assert raw.cells[0][1] is None
+        preprocess(raw)
+        assert raw.cells[0] == [1.0, None]
 
 
 class TestEncode:
@@ -226,25 +243,19 @@ class TestEncode:
             tmp_path, "d.csv",
             "a,colour,class\n1,red,x\n2,green,y\n3,blue,x\n",
         )
-        matrix, labels, names, classes = encode_nominal(load_table(data, schema))
-        assert names == ["a", "colour=red", "colour=green", "colour=blue"]
-        assert matrix.shape == (3, 4)
-        assert list(matrix[:, 1]) == [1.0, 0.0, 0.0]
-        assert list(labels) == [0, 1, 0]
-        assert classes == ["x", "y"]
+        ds = preprocess(load_table(data, schema))
+        assert ds.feature_names == ["a", "colour=red", "colour=green", "colour=blue"]
+        assert ds.patterns.shape == (3, 4)
+        assert ds.patterns[:, 1].tolist() == [2.0, 1.0, 1.0]
+        assert ds.labels.tolist() == [0, 1, 0]
+        assert ds.class_names == ["x", "y"]
 
     def test_binary_nominal_gets_two_columns(self, tmp_path):
         schema = load_schema(write(tmp_path, "s", "flag,nominal\nclass,class\n"))
         data = write(tmp_path, "d.csv", "flag,class\nyes,x\nno,y\n")
-        matrix, _, names, _ = encode_nominal(load_table(data, schema))
-        assert names == ["flag=yes", "flag=no"]
-        assert matrix.shape == (2, 2)
-
-    def test_missing_values_rejected(self, tmp_path):
-        schema = load_schema(write(tmp_path, "s", BASIC_SCHEMA))
-        data = write(tmp_path, "d.csv", "a,colour,class\n?,red,x\n2,red,y\n")
-        with pytest.raises(ValueError, match="missing"):
-            encode_nominal(load_table(data, schema))
+        ds = preprocess(load_table(data, schema))
+        assert ds.feature_names == ["flag=yes", "flag=no"]
+        assert ds.patterns.shape == (2, 2)
 
 
 class TestNormalization:
@@ -325,6 +336,61 @@ class TestStratifiedHoldout:
             stratified_holdout(ds, 0.75, seed=0)
 
 
+def _reference_train_counts(class_sizes, ratio):
+    """The nudge as a loop: each step moves the unmoved class with the
+    largest gap one pattern towards the exact total."""
+    exact = [ratio * s for s in class_sizes]
+    counts = [min(int(round(e)), s) for e, s in zip(exact, class_sizes)]
+    total_exact = ratio * sum(class_sizes)
+    if abs(total_exact - round(total_exact)) < 1e-9:
+        target = int(round(total_exact))
+        adjusted = set()
+        while sum(counts) != target:
+            over = sum(counts) > target
+            candidates = [
+                (counts[i] - exact[i] if over else exact[i] - counts[i],
+                 class_sizes[i], -i, i)
+                for i in range(len(counts))
+                if i not in adjusted
+                and (counts[i] > 0 if over else counts[i] < class_sizes[i])
+            ]
+            if not candidates:
+                raise ValueError("cannot reconcile per-class counts with the split ratio")
+            _, _, _, pick = max(candidates)
+            counts[pick] += -1 if over else 1
+            adjusted.add(pick)
+    return counts
+
+
+def _counts_or_error(class_sizes, ratio, counts_of):
+    try:
+        return counts_of(list(class_sizes), ratio)
+    except ValueError as exc:
+        return str(exc)
+
+
+RATIOS = st.one_of(
+    st.sampled_from([0.75, 0.5, 2 / 3]),
+    st.integers(2, 20).flatmap(lambda q: st.integers(1, q - 1).map(lambda p: p / q)),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+
+
+class TestTrainCountsMatchReference:
+    @settings(max_examples=500, deadline=None)
+    @given(class_sizes=st.lists(st.integers(0, 3000), min_size=1, max_size=8), ratio=RATIOS)
+    @example(class_sizes=[1], ratio=2.0)  # cannot be reconciled: both raise
+    @example(class_sizes=[288, 288, 49], ratio=0.75)
+    @example(class_sizes=[1, 1, 1, 1], ratio=0.5)
+    def test_same_counts_or_same_error(self, class_sizes, ratio):
+        assert (_counts_or_error(class_sizes, ratio, _train_counts)
+                == _counts_or_error(class_sizes, ratio, _reference_train_counts))
+
+    def test_the_error_case(self):
+        with pytest.raises(ValueError, match="cannot reconcile"):
+            _train_counts([1], 2.0)
+
+
 class TestPipeline:
     def test_balance_end_to_end(self, tmp_path):
         csv_path, schema_path = write_balance_scale(tmp_path)
@@ -390,6 +456,23 @@ class TestPipeline:
     def test_waveform_file_bytes_are_pinned(self, tmp_path, n, seed, digest):
         csv_path, _ = write_waveform(tmp_path, n=n, seed=seed)
         assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("dataset, digest", [
+        ("balance", "b2b5501315a5a102b9f141a76187449a63fd5788d1581f4633b4127bab45775f"),
+        ("waveform", "a640a773d5207e9f6014b6c37edc437d559be63ab1b8bce0c0634bf53f78375f"),
+    ])
+    def test_benchmark_split_files_are_pinned(self, tmp_path, dataset, digest):
+        # the benchmark's set-up: generate (waveform 5000 rows, generator
+        # seed 1), preprocess, split 3/4 with seed 20100, save both halves
+        if dataset == "waveform":
+            csv_path, schema_path = write_waveform(tmp_path / "raw", 5000, 1)
+        else:
+            csv_path, schema_path = GENERATORS[dataset](tmp_path / "raw")
+        train, test = stratified_holdout(preprocess_file(csv_path, schema_path), 0.75, 20100)
+        save_dataset(train, tmp_path / "train.dat")
+        save_dataset(test, tmp_path / "test.dat")
+        files = (tmp_path / "train.dat").read_bytes() + (tmp_path / "test.dat").read_bytes()
+        assert hashlib.sha256(files).hexdigest() == digest
 
     def test_deterministic_given_inputs(self, tmp_path):
         csv_path, schema_path = write_balance_scale(tmp_path)
