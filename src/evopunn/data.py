@@ -132,6 +132,8 @@ def load_schema(path) -> list[ColumnSpec]:
                 if kind == "continuous":
                     raise ValueError(f"{path}:{lineno}: continuous column cannot declare values")
                 vocabulary = [v.strip() for v in parts[2].split("|") if v.strip()]
+                if not vocabulary:
+                    raise ValueError(f"{path}:{lineno}: column {name!r} declares no values")
                 repeated = [v for i, v in enumerate(vocabulary) if v in vocabulary[:i]]
                 if repeated:
                     raise ValueError(f"{path}:{lineno}: value {repeated[0]!r} is listed twice")
@@ -244,6 +246,8 @@ def _filled(col: ColumnSpec, column: list) -> list:
         raise ValueError(f"column {col.name!r} has no values at all")
     if col.kind == "continuous":
         fill = sum(present) / len(present)
+        if not math.isfinite(fill):
+            raise ValueError(f"the mean of column {col.name!r} overflows")
     else:
         counts = Counter(present)
         fill = max(col.vocabulary, key=counts.__getitem__)  # max keeps the first of a tie
@@ -280,6 +284,12 @@ def preprocess(raw: RawDataset) -> ProcessedDataset:
                 features.append([1.0 if v == value else 0.0 for v in column])
     # (F, N) even with no feature, then C-ordered (N, F)
     matrix = np.array(features, dtype=float).reshape(len(features), len(labels)).T.copy()
+    # a span past the largest float would rescale the column to NaN
+    with np.errstate(over="ignore"):
+        wide = np.isinf(matrix.max(axis=0) - matrix.min(axis=0))
+    if wide.any():
+        raise ValueError(f"column {feature_names[wide.argmax()]!r} spans more than the "
+                         "largest float")
     patterns, params = fit_apply_normalization(matrix)
     return ProcessedDataset(patterns, labels, feature_names, raw.class_labels, params)
 

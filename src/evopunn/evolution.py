@@ -9,12 +9,14 @@ parametric step sizes adapt with Rechenberg's one-fifth success rule.
 A generation runs in phases: the parametric children, each scored as it is
 made; every structural child, drawn in one DrawStream block, then scored
 (scoring takes no draw); then the elite copies, the step sizes and the sort.
+run_evolution is one stage, the single path from a seed to an evolved
+population: it seeds unless handed a population, then loops over generations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import compress, count, islice
 from operator import and_, ne, not_, or_
@@ -497,19 +499,21 @@ def evolve_generation(
 
 
 def run_evolution(
-    population: list[Individual],
-    state: MutationState,
-    rng: np.random.Generator,
+    stage: str,
     params: EaParams,
+    rng: np.random.Generator,
     train,
     counter: EvalCounter,
-    early_stopping: bool = True,
     on_generation=None,
-    stage: str = "run",
+    early_stopping: bool = True,
+    population: list[Individual] | None = None,
 ) -> tuple[list[Individual], int]:
-    """Main loop: evolve until the generation budget runs out or, when early
-    stopping is on, until neither the best fitness nor the population mean
-    fitness has beaten its historical maximum by more than
+    """One stage under params, drawing from rng: seed a population whose
+    individuals are tagged stage, a tag every descendant inherits, unless a
+    sorted population is given, then apply the main loop with fresh step
+    sizes. The loop evolves until the generation budget runs out or, when
+    early stopping is on, until neither the best fitness nor the population
+    mean fitness has beaten its historical maximum by more than
     IMPROVEMENT_EPSILON for STALL_GENERATIONS consecutive generations.
 
     After each generation, on_generation (if given) is called as
@@ -520,6 +524,10 @@ def run_evolution(
     Returns (final population, generations executed); the best individual is
     the first element of the returned population.
     """
+    if population is None:
+        seeds = initialize_population(rng, params, train, counter)
+        population = [replace(ind, origin=stage) for ind in seeds]
+    state = MutationState(params.alpha1, params.alpha2)
     best_high = population[0].fitness
     mean_high = population_mean_fitness(population)
     stalled = 0

@@ -10,11 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import EaParams, EvalCounter, Individual
-# unused here: perfbench's tracer (tracing.PATCHES) rebinds these two names
-from .evolution import initialize_population, run_evolution  # noqa: F401
+from .evolution import EaParams, EvalCounter, Individual, run_evolution
+# unused here: perfbench's tracer (tracing.PATCHES) rebinds this name
+from .evolution import initialize_population  # noqa: F401
 from .network import correct_classification_rate
-from .twostage import run_stage, run_two_stage
+from .twostage import run_two_stage
 
 
 @dataclass(frozen=True)
@@ -54,14 +54,23 @@ CONFIGURATIONS: dict[str, tuple[str, int, float]] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment cell, checked when built, so also by every replace()."""
     config_id: str
     neu: int
     gen: int
     pop_size: int = 1000
     n_runs: int = 30
     master_seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.config_id not in CONFIGURATIONS:
+            raise ValueError(f"unknown configuration {self.config_id!r}; "
+                             f"choose from {sorted(CONFIGURATIONS)}")
+        if self.n_runs < 1:
+            raise ValueError("n_runs must be at least 1")
+        self.ea_params()  # EaParams checks neu, gen and pop_size
 
     @property
     def method(self) -> str:
@@ -86,8 +95,6 @@ def make_config(
     master_seed: int = 0,
     pop_size: int = 1000,
 ) -> ExperimentConfig:
-    if config_id not in CONFIGURATIONS:
-        raise ValueError(f"unknown configuration {config_id!r}; choose from {sorted(CONFIGURATIONS)}")
     if preset is not None:
         if preset not in PRESETS:
             raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
@@ -98,8 +105,6 @@ def make_config(
         gen = ps.generations if gen is None else gen
     if neu is None or gen is None:
         raise ValueError("either a preset or explicit neu and gen values are required")
-    if n_runs < 1:
-        raise ValueError("n_runs must be at least 1")
     return ExperimentConfig(config_id=config_id, neu=neu, gen=gen, pop_size=pop_size,
                             n_runs=n_runs, master_seed=master_seed)
 
@@ -136,7 +141,7 @@ def run_single(
     if config.method == "tsea":
         population, generations = run_two_stage(params, rng, train, counter, on_generation)
     else:
-        population, generations = run_stage("run", params, rng, train, counter, on_generation)
+        population, generations = run_evolution("run", params, rng, train, counter, on_generation)
     best = population[0]
     elapsed = time.perf_counter() - started
     record = RunRecord(

@@ -1,18 +1,14 @@
-"""Seed-then-evolve stages, and two-stage population seeding built from them.
+"""Two-stage population seeding, built from evolution.run_evolution stages.
 
-run_stage is the one path from a population to an evolved one: it seeds
-SEEDING_FACTOR * N random networks tagged with the stage's label, unless it
-is handed a population, and applies the main loop. A full-length run is one
-stage, "run", and a two-stage run three; both return (final population,
-generations executed). Stage one builds and briefly evolves two independent
-populations whose networks differ in their hidden-node cap (neu and
-neu + 1), with no early stopping. The best half of each is merged into a
-single population that the standard loop then evolves to completion under
-the larger cap. Every generation of every stage reaches the caller's callback
-through run_evolution as on_generation(stage, gen_index, population,
-counter), with stage "run", "stage1-a", "stage1-b" or "stage2". Also
-provides the closed-form evaluation accounting that compares this schedule
-against a pair of independent full-length runs.
+A full-length run is one stage, "run"; a two-stage run is three. Stage one
+seeds and briefly evolves two independent populations whose networks differ
+in their hidden-node cap (neu and neu + 1), with no early stopping. The best
+half of each is merged into a single population that the standard loop then
+evolves to completion under the larger cap. Every generation of every stage
+reaches the caller's callback as on_generation(stage, gen_index, population,
+counter), with stage "stage1-a", "stage1-b" or "stage2". Also provides the
+closed-form evaluation accounting that compares this schedule against a pair
+of independent full-length runs.
 """
 
 from __future__ import annotations
@@ -26,12 +22,12 @@ from .evolution import (
     EaParams,
     EvalCounter,
     Individual,
-    MutationState,
     generation_split,
-    initialize_population,
     run_evolution,
     sort_population,
 )
+# unused here: perfbench's tracer (tracing.PATCHES) rebinds this name
+from .evolution import initialize_population  # noqa: F401
 
 STAGE_A = "stage1-a"
 STAGE_B = "stage1-b"
@@ -66,30 +62,6 @@ def merge_populations(
     return merged
 
 
-def run_stage(
-    label: str,
-    params: EaParams,
-    rng: np.random.Generator,
-    train,
-    counter: EvalCounter,
-    on_generation=None,
-    early_stopping: bool = True,
-    population: list[Individual] | None = None,
-) -> tuple[list[Individual], int]:
-    """One stage under params, drawing from rng: seed a population tagged
-    label, which every descendant inherits, unless population is given, then
-    evolve it with fresh step sizes. Returns run_evolution's (final
-    population, generations executed)."""
-    if population is None:
-        seeds = initialize_population(rng, params, train, counter)
-        population = [replace(ind, origin=label) for ind in seeds]
-    state = MutationState(params.alpha1, params.alpha2)
-    return run_evolution(
-        population, state, rng, params, train, counter,
-        early_stopping=early_stopping, on_generation=on_generation, stage=label,
-    )
-
-
 def run_two_stage(
     params: EaParams,
     rng: np.random.Generator,
@@ -106,21 +78,21 @@ def run_two_stage(
     execute in parallel without changing the outcome. Stage one runs
     stage1_length(gen) generations per population without early stopping;
     stage two applies the standard loop with early stopping to the merged
-    population as it is. Returns run_stage's (final population, generations
-    executed), the generations counting both stage-one runs.
+    population as it is. Returns run_evolution's (final population,
+    generations executed), the generations counting both stage-one runs.
     """
     _require_even(params.pop_size)
     rng_a, rng_b, rng_stage2 = rng.spawn(3)
     final_params = replace(params, max_hidden=final_hidden_cap(params.max_hidden))
     stage1 = stage1_length(params.gen)
     halves = [
-        run_stage(label, replace(stage_params, gen=stage1), stream, train, counter,
-                  on_generation, early_stopping=False)[0]
+        run_evolution(label, replace(stage_params, gen=stage1), stream, train, counter,
+                      on_generation, early_stopping=False)[0]
         for label, stage_params, stream in (
             (STAGE_A, params, rng_a), (STAGE_B, final_params, rng_b))
     ]
-    population, executed = run_stage("stage2", final_params, rng_stage2, train, counter,
-                                     on_generation, population=merge_populations(*halves))
+    population, executed = run_evolution("stage2", final_params, rng_stage2, train, counter,
+                                         on_generation, population=merge_populations(*halves))
     return population, 2 * stage1 + executed
 
 

@@ -281,8 +281,8 @@ class TestCriterion4Properties:
                 params = e.EaParams(gen=12, max_hidden=3, pop_size=10)
                 counter = e.EvalCounter()
                 pop = e.initialize_population(run_rng, params, train, counter)
-                state = e.MutationState(params.alpha1, params.alpha2)
-                pop, _ = e.run_evolution(pop, state, run_rng, params, train, counter)
+                pop, _ = e.run_evolution("run", params, run_rng, train, counter,
+                                         population=pop)
                 outcomes.append((e.serialize_network(pop[0].net), counter.total))
             assert outcomes[0] == outcomes[1]
 

@@ -1,10 +1,13 @@
 import csv
 import hashlib
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from evopunn import cli
 from evopunn.cli import main
 from evopunn.data import load_dataset
 from evopunn import network
@@ -33,6 +36,27 @@ def assert_one_line_error(capsys, verb, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"evopunn {verb}: error: {message}\n"
+
+
+def walkthrough_commands():
+    """The evopunn commands of README's "CLI walkthrough" code block, each
+    with its continuation lines joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## CLI walkthrough\n+```\n(.*?)^```", readme, re.S | re.M).group(1)
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("evopunn ")]
+
+
+class TestReadmeWalkthrough:
+    def test_every_command_parses_to_a_served_verb(self):
+        commands = walkthrough_commands()
+        assert len(commands) == 7
+        verbs = []
+        for command in commands:
+            args = cli.build_parser().parse_args(shlex.split(command)[1:])
+            assert args.verb in cli._COMMANDS, command
+            verbs.append(args.verb)
+        assert sorted(verbs) == sorted(cli._COMMANDS)
 
 
 class TestPipelineVerbs:
@@ -92,6 +116,21 @@ class TestPipelineVerbs:
         assert code == 2
         assert_one_line_error(capsys, "preprocess",
                               f"{data}:3: 'nan' is not a finite number for column 'a'")
+
+    @pytest.mark.parametrize("body, message", [
+        ("-1e308,x\n1e308,y\n0,x\n", "column 'a' spans more than the largest float"),
+        ("1e308,x\n1e308,y\n?,x\n", "the mean of column 'a' overflows"),
+    ], ids=["span", "mean"])
+    def test_overflowing_column_is_one_line(self, tmp_path, capsys, body, message):
+        # a numpy RuntimeWarning would be an error under the test settings
+        schema = tmp_path / "s"
+        schema.write_text("a,continuous\nclass,class\n")
+        data = tmp_path / "d.csv"
+        data.write_text("a,class\n" + body)
+        code = main(["preprocess", "--data", str(data), "--schema", str(schema),
+                     "--out", str(tmp_path / "p")])
+        assert code == 2
+        assert_one_line_error(capsys, "preprocess", message)
 
     def test_name_with_a_line_break_is_one_line(self, tmp_path, capsys):
         schema = tmp_path / "s"

@@ -103,6 +103,13 @@ class TestLoadSchema:
             load_schema(path)
         assert str(caught.value) == f"{path}:2: value {value!r} is listed twice"
 
+    @pytest.mark.parametrize("line", ["c,class,", "c,nominal,|"], ids=["class", "nominal"])
+    def test_rejects_an_empty_vocabulary(self, tmp_path, line):
+        path = write(tmp_path, "s", f"w,continuous\n{line}\n")
+        with pytest.raises(ValueError) as caught:
+            load_schema(path)
+        assert str(caught.value) == f"{path}:2: column 'c' declares no values"
+
 
 class TestLoadTable:
     def test_three_rows(self, tmp_path):
@@ -230,6 +237,12 @@ class TestImpute:
         with pytest.raises(ValueError, match="column 'a' has no values at all"):
             preprocess(raw)
 
+    def test_mean_that_overflows(self, tmp_path):
+        # the sum of the present cells is infinite, so the mean would be too
+        raw = self.make_raw(tmp_path, "1e308,red,x\n1e308,red,y\n?,red,x\n")
+        with pytest.raises(ValueError, match="^the mean of column 'a' overflows$"):
+            preprocess(raw)
+
     def test_original_untouched(self, tmp_path):
         raw = self.make_raw(tmp_path, "1,red,x\n?,red,y\n")
         preprocess(raw)
@@ -259,6 +272,17 @@ class TestEncode:
 
 
 class TestNormalization:
+    def test_column_whose_span_overflows(self, tmp_path):
+        schema = load_schema(write(tmp_path, "s", "a,continuous\nclass,class\n"))
+        data = write(tmp_path, "d.csv", "a,class\n-1e308,x\n1e308,y\n0,x\n")
+        with pytest.raises(ValueError, match="^column 'a' spans more than the largest float$"):
+            preprocess(load_table(data, schema))
+
+    def test_column_of_equal_huge_values(self, tmp_path):
+        schema = load_schema(write(tmp_path, "s", "a,continuous\nclass,class\n"))
+        data = write(tmp_path, "d.csv", "a,class\n1e308,x\n1e308,y\n")
+        assert preprocess(load_table(data, schema)).patterns.tolist() == [[1.0], [1.0]]
+
     def test_simple_feature(self):
         out, params = fit_apply_normalization(np.array([[0.0], [5.0], [10.0]]))
         assert list(out[:, 0]) == [1.0, 1.5, 2.0]

@@ -704,8 +704,8 @@ class TestRunEvolution:
         counter = EvalCounter()
         pop = initialize_population(rng, params, toy_train, counter)
         best_before = pop[0]
-        state = MutationState(params.alpha1, params.alpha2)
-        final, executed = run_evolution(pop, state, rng, params, toy_train, counter)
+        final, executed = run_evolution("run", params, rng, toy_train, counter,
+                                        population=pop)
         assert executed == 0
         assert final[0] is best_before
         assert counter.total == 100
@@ -714,24 +714,25 @@ class TestRunEvolution:
         # identical individuals, zero variances, no structural operators: the
         # population can never improve, so the stop fires after the window
         monkeypatch.setattr(evolution, "ALPHA_MIN", 0.0)
-        params = params_for(toy_train, gen=100, pop_size=10, structural_ops=())
+        monkeypatch.setattr(EaParams, "alpha1", 0.0)
+        params = params_for(toy_train, gen=100, pop_size=10, structural_ops=(), alpha2=0.0)
         net = random_network(rng, 2, 3, 2)
         ind = evaluate_individual(net, toy_train, EvalCounter())
         pop = [Individual(clone(ind.net), ind.fitness, ind.connections) for _ in range(10)]
-        state = MutationState(0.0, 0.0)
-        final, executed = run_evolution(pop, state, rng, params, toy_train, EvalCounter())
+        final, executed = run_evolution("run", params, rng, toy_train, EvalCounter(),
+                                        population=pop)
         assert executed == 20
 
     def test_noop_generation_keeps_population_content(self, rng, toy_train, monkeypatch):
         monkeypatch.setattr(evolution, "ALPHA_MIN", 0.0)
-        params = params_for(toy_train, gen=5, pop_size=10, structural_ops=())
+        monkeypatch.setattr(EaParams, "alpha1", 0.0)
+        params = params_for(toy_train, gen=5, pop_size=10, structural_ops=(), alpha2=0.0)
         net = random_network(rng, 2, 3, 2)
         ind = evaluate_individual(net, toy_train, EvalCounter())
         pop = [Individual(clone(ind.net), ind.fitness, ind.connections) for _ in range(10)]
-        state = MutationState(0.0, 0.0)
         reference = serialize_network(pop[0].net)
-        final, _ = run_evolution(pop, state, rng, params, toy_train, EvalCounter(),
-                                 early_stopping=False)
+        final, _ = run_evolution("run", params, rng, toy_train, EvalCounter(),
+                                 early_stopping=False, population=pop)
         assert len(final) == 10
         for ind in final:
             assert serialize_network(ind.net) == reference
@@ -740,8 +741,8 @@ class TestRunEvolution:
         params = params_for(toy_train, gen=7, pop_size=10)
         counter = EvalCounter()
         pop = initialize_population(rng, params, toy_train, counter)
-        state = MutationState(params.alpha1, params.alpha2)
-        run_evolution(pop, state, rng, params, toy_train, counter, early_stopping=False)
+        run_evolution("run", params, rng, toy_train, counter, early_stopping=False,
+                      population=pop)
         assert counter.total == 10 * 10 + 7 * 9
 
     def test_deterministic_runs(self, toy_train):
@@ -751,8 +752,8 @@ class TestRunEvolution:
             params = params_for(toy_train, gen=8, pop_size=10)
             counter = EvalCounter()
             pop = initialize_population(rng, params, toy_train, counter)
-            state = MutationState(params.alpha1, params.alpha2)
-            final, executed = run_evolution(pop, state, rng, params, toy_train, counter)
+            final, executed = run_evolution("run", params, rng, toy_train, counter,
+                                            population=pop)
             results.append((serialize_network(final[0].net), counter.total, executed))
         assert results[0] == results[1]
 

@@ -3,6 +3,7 @@ import os
 import statistics
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from evopunn.datasets import waveform_rows
 from evopunn.experiment import (
     CONFIGURATIONS,
     PRESETS,
+    ExperimentConfig,
     RunRecord,
     make_config,
     run_experiment,
@@ -94,6 +96,26 @@ class TestConfigurations:
     def test_config_without_budget_rejected(self):
         with pytest.raises(ValueError, match="preset or explicit"):
             make_config("1")
+
+    def test_unknown_configuration_rejected_when_built(self):
+        with pytest.raises(ValueError, match=r"^unknown configuration '9'; choose from \["):
+            ExperimentConfig("9", 3, 10)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"n_runs": 0}, "n_runs must be at least 1"),
+        ({"pop_size": 0}, "pop_size must be positive"),
+        ({"gen": -1}, "gen must be nonnegative"),
+        ({"neu": 0}, "max_hidden must be at least 1"),
+    ], ids=["n_runs", "pop_size", "gen", "neu"])
+    def test_replace_is_checked(self, changes, message):
+        config = make_config("1", neu=2, gen=4, pop_size=10)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(config, **changes)
+
+    def test_is_frozen(self):
+        config = make_config("1", neu=2, gen=4, pop_size=10)
+        with pytest.raises(FrozenInstanceError):
+            config.n_runs = 5
 
 
 class TestRunExperiment:

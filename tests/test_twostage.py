@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from evopunn import evolution
-from evopunn.evolution import EaParams, EvalCounter, Individual
+from evopunn.evolution import EaParams, EvalCounter, Individual, run_evolution
 from evopunn.network import count_connections, random_network, serialize_network
 from evopunn.twostage import (
     expected_evaluations,
     final_hidden_cap,
     merge_populations,
-    run_stage,
     run_two_stage,
 )
 
@@ -160,18 +159,18 @@ class TestRunTwoStage:
     ):
         params = EaParams(gen=gen, max_hidden=2, pop_size=pop_size)
         counter = EvalCounter()
-        _, executed = run_stage("run", params, np.random.default_rng(5), toy_train, counter,
-                                early_stopping=False)
+        _, executed = run_evolution("run", params, np.random.default_rng(5), toy_train,
+                                    counter, early_stopping=False)
         assert executed == gen
         assert counter.total == expected_evaluations(pop_size, gen)["edd_single"] == edd_single
 
     def test_given_population_is_evolved_without_seeding(self, toy_train):
         params = EaParams(gen=7, max_hidden=2, pop_size=12)
-        seeds, _ = run_stage("seeds", replace(params, gen=0), np.random.default_rng(1),
-                             toy_train, EvalCounter())
+        seeds, _ = run_evolution("seeds", replace(params, gen=0), np.random.default_rng(1),
+                                 toy_train, EvalCounter())
         counter = EvalCounter()
-        final, executed = run_stage("next", params, np.random.default_rng(2), toy_train,
-                                    counter, early_stopping=False, population=seeds)
+        final, executed = run_evolution("next", params, np.random.default_rng(2), toy_train,
+                                        counter, early_stopping=False, population=seeds)
         assert executed == 7
         assert counter.total == 7 * 10  # floor(0.9 * 12) children a generation, no seeding
         # a given population keeps its tags: nothing is seeded under the new label
