@@ -109,6 +109,9 @@ def main() -> int:
         **numpy_versions(),
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "OPENBLAS_NUM_THREADS_in_runs": "1, set by perfbench/run.py for its child processes",
+        # set, every fresh process compiles each module it imports: setup_s reads
+        # about 10-15 ms higher than with cached bytecode
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "runs": [],
     }
     for workload in workloads:

@@ -33,7 +33,8 @@ from .twostage import expected_evaluations, final_hidden_cap
 
 
 def _add_gendata(sub):
-    p = sub.add_parser("gendata", help="write a built-in benchmark dataset as CSV + schema")
+    p = sub.add_parser("gendata", allow_abbrev=False,
+                       help="write a built-in benchmark dataset as CSV + schema")
     p.add_argument("--preset", required=True, choices=sorted(datasets.GENERATORS))
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, help="generator seed (waveform only; default 1)")
@@ -41,14 +42,16 @@ def _add_gendata(sub):
 
 
 def _add_preprocess(sub):
-    p = sub.add_parser("preprocess", help="impute, encode and rescale a CSV dataset")
+    p = sub.add_parser("preprocess", allow_abbrev=False,
+                       help="impute, encode and rescale a CSV dataset")
     p.add_argument("--data", required=True, help="CSV file with header")
     p.add_argument("--schema", required=True, help="schema text file")
     p.add_argument("--out", required=True, help="output directory (writes processed.dat)")
 
 
 def _add_split(sub):
-    p = sub.add_parser("split", help="stratified holdout split of a processed dataset")
+    p = sub.add_parser("split", allow_abbrev=False,
+                       help="stratified holdout split of a processed dataset")
     p.add_argument("--data", required=True, help="directory containing processed.dat")
     p.add_argument("--ratio", type=float, default=0.75)
     p.add_argument("--seed", type=int, default=0)
@@ -56,7 +59,7 @@ def _add_split(sub):
 
 
 def _add_train(sub):
-    p = sub.add_parser("train", help="single seeded training run")
+    p = sub.add_parser("train", allow_abbrev=False, help="single seeded training run")
     p.add_argument("--config", required=True, choices=sorted(CONFIGURATIONS))
     p.add_argument("--preset", choices=sorted(PRESETS))
     p.add_argument("--neu", type=int, help="hidden-node base count (overrides preset)")
@@ -70,7 +73,8 @@ def _add_train(sub):
 
 
 def _add_experiment(sub):
-    p = sub.add_parser("experiment", help="repeated seeded runs with a summary report")
+    p = sub.add_parser("experiment", allow_abbrev=False,
+                       help="repeated seeded runs with a summary report")
     p.add_argument("--preset", required=True, choices=sorted(PRESETS))
     p.add_argument("--config", required=True, choices=sorted(CONFIGURATIONS))
     p.add_argument("--runs", type=int, default=30)
@@ -83,13 +87,15 @@ def _add_experiment(sub):
 
 
 def _add_evals(sub):
-    p = sub.add_parser("evals", help="closed-form evaluation-count comparison")
+    p = sub.add_parser("evals", allow_abbrev=False,
+                       help="closed-form evaluation-count comparison")
     p.add_argument("--pop", type=int, default=1000)
     p.add_argument("--gen", type=int, required=True)
 
 
 def _add_predict(sub):
-    p = sub.add_parser("predict", help="classify the rows of a processed dataset")
+    p = sub.add_parser("predict", allow_abbrev=False,
+                       help="classify the rows of a processed dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True, help="processed dataset (.dat)")
 
@@ -97,6 +103,7 @@ def _add_predict(sub):
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evopunn",
+        allow_abbrev=False,
         description="Train product-unit network classifiers by evolutionary programming.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)

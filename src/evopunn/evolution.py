@@ -107,11 +107,16 @@ class Individual:
 
 
 def evaluate_individual(
-    net: PunnNetwork, train, counter: EvalCounter, origin: str | None = None
+    net: PunnNetwork, train, counter: EvalCounter, origin: str | None = None,
+    connections: int | None = None,
 ) -> Individual:
+    """Score net (one evaluation). connections, given when net has the masks
+    of a network already counted, saves counting them again."""
     score = fitness(net, train)
     counter.add()
-    return Individual(net, score, count_connections(net), origin)
+    if connections is None:
+        connections = count_connections(net)
+    return Individual(net, score, connections, origin)
 
 
 def sort_population(population: list[Individual]) -> None:
@@ -179,7 +184,7 @@ def parametric_mutation(
     candidate_net = PunnNetwork(
         exponents, net.exponent_mask, coefficients, net.coefficient_mask, biases
     )
-    candidate = evaluate_individual(candidate_net, train, counter, ind.origin)
+    candidate = evaluate_individual(candidate_net, train, counter, ind.origin, ind.connections)
     state.attempts += 1
     if candidate.fitness >= ind.fitness:
         state.successes += 1
@@ -490,8 +495,12 @@ def evolve_generation(
     parents = population[n_param : n_param + n_struct]
     with DrawStream(rng, STRUCTURAL_WORDS * n_struct) as draws:
         children = [structural_mutation(ind, draws, params) for ind in parents]
-    next_population += [evaluate_individual(net, train, counter, ind.origin)
-                        for net, ind in zip(children, parents)]
+    # a child that nothing changed is its parent's network, links and all
+    next_population += [
+        evaluate_individual(net, train, counter, ind.origin,
+                            ind.connections if net is ind.net else None)
+        for net, ind in zip(children, parents)
+    ]
     next_population += population[:n_elite]
     adapt_variances(state)
     sort_population(next_population)

@@ -176,7 +176,9 @@ def run_experiment(
         return [_run_for_pool(task) for task in tasks]
     from concurrent.futures import ProcessPoolExecutor  # a serial run never loads it
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # a forked pool starts all its workers at the first submit, so it gets no
+    # more of them than there are runs
+    with ProcessPoolExecutor(max_workers=min(workers, config.n_runs)) as pool:
         return list(pool.map(_run_for_pool, tasks))
 
 

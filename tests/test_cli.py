@@ -59,6 +59,23 @@ class TestReadmeWalkthrough:
         assert sorted(verbs) == sorted(cli._COMMANDS)
 
 
+class TestOptionNames:
+    """A long option is taken only as spelt in full, so predict's --model is
+    not train's --model-out and a shortened README flag does not parse."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--config", "1", "--train", "a.dat", "--test", "b.dat", "--seed", "1",
+          "--model", "m.json"], "the following arguments are required: --model-out"),
+        (["split", "--data", "d", "--out", "o", "--rat", "0.5"],
+         "unrecognized arguments: --rat 0.5"),
+    ], ids=["train-model", "split-rat"])
+    def test_abbreviated_option_exits_with_status_2(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.endswith(f": error: {message}\n")
+
+
 class TestPipelineVerbs:
     def test_full_flow(self, balance_splits, capsys):
         train = load_dataset(balance_splits / "train.dat")

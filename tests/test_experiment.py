@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import os
 import statistics
@@ -156,10 +157,36 @@ class TestRunExperiment:
                 b.seed, b.ccr_train, b.ccr_test, b.connections, b.evaluations
             )
 
+    @pytest.mark.parametrize("runs, workers, started", [(2, 4, 2), (4, 2, 2), (3, 3, 3)])
+    def test_pool_starts_no_more_workers_than_runs(self, toy_train, monkeypatch,
+                                                   runs, workers, started):
+        # a forked pool starts max_workers processes at its first submit
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        config = self.small_config(runs=runs)
+        records = run_experiment(config, toy_train, toy_train, workers=workers)
+        assert sizes == [started]
+        assert [r.seed for r in records] == [100 + i for i in range(runs)]
+
     def test_import_does_not_load_the_process_pool(self):
         # only a pooled run_experiment imports it; a fresh process shows it
         src = str(Path(evopunn.__file__).resolve().parent.parent)
-        code = "import sys, evopunn; print('concurrent.futures.process' in sys.modules)"
+        code = ("import sys, evopunn.experiment; "
+                "print('concurrent.futures.process' in sys.modules)")
         result = subprocess.run(
             [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
             capture_output=True, text=True, check=True,
