@@ -8,7 +8,9 @@ files; no environment variables are consulted.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import datasets
@@ -151,24 +153,22 @@ def _cmd_split(args) -> int:
     return 0
 
 
-def _make_trace_writer(path, train):
+def _trace_writer(fh, train):
     """Per-generation trace: index, best fitness, mean fitness, best training
     accuracy, evaluations so far, stage label; tab-separated, one line per
     generation."""
-    fh = open(path, "w", encoding="utf-8")
-    lines_written = [0]
+    line_numbers = itertools.count(1)
 
     def on_generation(stage, gen_index, population, counter):
-        lines_written[0] += 1
         best = population[0]
         mean = population_mean_fitness(population)
         ccr = correct_classification_rate(best.net, train)
         fh.write(
-            f"{lines_written[0]}\t{best.fitness:.10g}\t{mean:.10g}"
+            f"{next(line_numbers)}\t{best.fitness:.10g}\t{mean:.10g}"
             f"\t{ccr:.2f}\t{counter.total}\t{stage}\n"
         )
 
-    return fh, on_generation
+    return on_generation
 
 
 def _cmd_train(args) -> int:
@@ -179,18 +179,9 @@ def _cmd_train(args) -> int:
     train = load_dataset(args.train)
     test = load_dataset(args.test)
 
-    trace_fh = None
-    on_generation = None
-    if args.trace:
-        trace_fh, on_generation = _make_trace_writer(args.trace, train)
-
-    try:
-        record, best = run_single(
-            config, train, test, args.seed, on_generation=on_generation
-        )
-    finally:
-        if trace_fh is not None:
-            trace_fh.close()
+    with open(args.trace, "w", encoding="utf-8") if args.trace else nullcontext() as trace:
+        on_generation = _trace_writer(trace, train) if args.trace else None
+        record, best = run_single(config, train, test, args.seed, on_generation=on_generation)
 
     max_hidden = config.ea_params().max_hidden
     if config.method == "tsea":

@@ -125,6 +125,8 @@ def load_schema(path) -> list[ColumnSpec]:
             if len(parts) not in (2, 3):
                 raise ValueError(f"{path}:{lineno}: expected 'name,kind[,values]'")
             name, kind = parts[0], parts[1]
+            if not name:
+                raise ValueError(f"{path}:{lineno}: column name is empty")
             if kind not in COLUMN_KINDS:
                 raise ValueError(f"{path}:{lineno}: unknown column kind {kind!r}")
             vocabulary = None

@@ -6,19 +6,19 @@ block of raw words from a Generator's PCG64 bit generator in one call and
 serves the draws with numpy's own arithmetic:
 
 - random() is (w >> 11) * 2**-53, numpy's next_double;
-- uniform(lo, hi) is lo + (hi - lo) * random();
 - integers(n), numpy's integers(0, n) for 1 <= n < 2**32, is Lemire's
   nearly divisionless method (Lemire 2019) on 32-bit halves of words: the
   low half of a fresh word first, its high half kept in the bit generator's
   one-value buffer (has_uint32, uinteger) for the next call. n = 1 takes no
   draw;
 - below(n, p) and uniforms(lo, hi, n) are n draws of random() < p and of
-  uniform(lo, hi) as lists, read off one slice of the block.
+  lo + (hi - lo) * random() as lists, read off one slice of the block.
 
-close() leaves the generator where numpy's own calls would have: the state
-taken at opening, advanced (O'Neill 2014) by the words used, with the
-buffered half written back. These are numpy 2.4's algorithms; the tests pin
-them against Generator, so a numpy that changes them fails there.
+A stream is used in a with block. When its with block ends, the generator is
+left where numpy's own calls would have left it: the state taken at opening,
+advanced (O'Neill 2014) by the words used, with the buffered half written
+back. These are numpy 2.4's algorithms; the tests pin them against
+Generator, so a numpy that changes them fails there.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ _HALF = 0xFFFFFFFF
 
 
 class DrawStream:
-    """Draws from a PCG64 Generator, valid until close() or the end of its
-    with block. Until then the generator must not be used directly."""
+    """Draws from a PCG64 Generator, valid until the end of its with block.
+    Until then the generator must not be used directly."""
 
     __slots__ = ("_bit_generator", "_start", "_words", "_pos", "_used", "_has_half", "_half")
 
@@ -85,8 +85,8 @@ class DrawStream:
         self._half = word >> 32
         return word & _HALF
 
-    # random(), uniform() and integers() serve most draws and read their word
-    # inline: calling _word() instead cost 3% of a structural child's time
+    # random() and integers() serve most draws and read their word inline:
+    # calling _word() instead cost 3% of a structural child's time
 
     def random(self) -> float:
         pos = self._pos
@@ -97,16 +97,6 @@ class DrawStream:
         else:
             self._pos = pos + 1
         return (word >> 11) * _TO_UNIT
-
-    def uniform(self, lo: float, hi: float) -> float:
-        pos = self._pos
-        try:
-            word = self._words[pos]
-        except IndexError:
-            word = self._word()
-        else:
-            self._pos = pos + 1
-        return lo + (hi - lo) * ((word >> 11) * _TO_UNIT)
 
     def integers(self, n: int) -> int:
         if n == 1:
@@ -150,9 +140,6 @@ class DrawStream:
         return self
 
     def __exit__(self, *exc) -> None:
-        self.close()
-
-    def close(self) -> None:
         """Put the generator where the draws served would have left it."""
         bit_generator = self._bit_generator
         bit_generator.state = self._start

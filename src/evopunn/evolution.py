@@ -377,8 +377,8 @@ def _edit_connections(
               for pick in _sample(draws, size, min(wanted, size))]
     lo, hi = params.weight_interval
     linked = not existing
-    for node, in_exponents, at in places:
-        weight = 0.0 if existing else draws.uniform(lo, hi)
+    weights = [0.0] * len(places) if existing else draws.uniforms(lo, hi, len(places))
+    for (node, in_exponents, at), weight in zip(places, weights):
         if in_exponents:
             node.mask[at] = linked
             child.row(node)[at] = weight

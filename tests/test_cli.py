@@ -10,6 +10,7 @@ import pytest
 from evopunn import cli
 from evopunn.cli import main
 from evopunn.data import load_dataset
+from evopunn.evolution import EvalCounter, Individual
 from evopunn import network
 from evopunn.network import correct_classification_rate, predict_classes, serialize_network
 from evopunn.twostage import final_hidden_cap
@@ -159,6 +160,17 @@ class TestPipelineVerbs:
         assert code == 2
         assert_one_line_error(capsys, "preprocess", "name 'x\\ny' contains a line break")
 
+    def test_nameless_column_is_one_line(self, tmp_path, capsys):
+        schema = tmp_path / "s"
+        schema.write_text(",continuous\nc,class\n")
+        data = tmp_path / "d.csv"
+        data.write_text(",c\n1,x\n2,y\n")
+        code = main(["preprocess", "--data", str(data), "--schema", str(schema),
+                     "--out", str(tmp_path / "p")])
+        assert code == 2
+        assert_one_line_error(capsys, "preprocess", f"{schema}:1: column name is empty")
+        assert not (tmp_path / "p").exists()
+
 
 class TestEvalsVerb:
     @pytest.mark.parametrize(
@@ -238,6 +250,30 @@ class TestTrainAndPredict:
         assert stage2 >= 1
         assert [row[5] for row in rows] == ["stage1-a"] * 2 + ["stage1-b"] * 2 + ["stage2"] * stage2
         assert [row[0] for row in rows] == [str(i) for i in range(1, len(rows) + 1)]
+
+    def test_failed_run_closes_a_complete_trace(self, balance_splits, tmp_path, capsys,
+                                                monkeypatch):
+        net = build_net(4, 3, [{0: 1.0}], [(0.5, {0: 1.0}), (-0.5, {0: 2.0})])
+        population = [Individual(net, 0.75, 3), Individual(net, 0.25, 3)]
+
+        def failing_run(config, train, test, seed, on_generation):
+            on_generation("run", 0, population, EvalCounter(12))
+            raise ValueError("the run failed")
+
+        monkeypatch.setattr(cli, "run_single", failing_run)
+        model = tmp_path / "model.json"
+        trace = tmp_path / "trace.tsv"
+        code = main([
+            "train", "--config", "1", "--preset", "balance",
+            "--train", str(balance_splits / "train.dat"),
+            "--test", str(balance_splits / "test.dat"),
+            "--seed", "42", "--model-out", str(model), "--trace", str(trace),
+        ])
+        assert code == 2
+        assert_one_line_error(capsys, "train", "the run failed")
+        assert not model.exists()
+        ccr = correct_classification_rate(net, load_dataset(balance_splits / "train.dat"))
+        assert trace.read_text(encoding="utf-8") == f"1\t0.75\t0.5\t{ccr:.2f}\t12\trun\n"
 
     def test_two_stage_train_and_predict(self, balance_splits, tmp_path, capsys):
         model = tmp_path / "model.json"

@@ -110,6 +110,14 @@ class TestLoadSchema:
             load_schema(path)
         assert str(caught.value) == f"{path}:2: column 'c' declares no values"
 
+    @pytest.mark.parametrize("line", [",continuous", " ,class", ",nominal,x|y"],
+                             ids=["continuous", "class", "nominal"])
+    def test_rejects_an_empty_column_name(self, tmp_path, line):
+        path = write(tmp_path, "s", f"w,continuous\n{line}\n")
+        with pytest.raises(ValueError) as caught:
+            load_schema(path)
+        assert str(caught.value) == f"{path}:2: column name is empty"
+
 
 class TestLoadTable:
     def test_three_rows(self, tmp_path):

@@ -1,11 +1,12 @@
 """DrawStream against numpy's Generator.
 
 The stream reproduces numpy 2.4's PCG64 draws from raw words: next_double
-for random() and uniform(), the 32-bit Lemire method over the bit
+for random() and uniforms(), the 32-bit Lemire method over the bit
 generator's half-word buffer for integers(0, n). Every served draw must
-equal the Generator's, and after close() the generator's state must equal
-that of a twin that made the same calls. A numpy that draws differently
-fails here, not by changing training results silently."""
+equal the Generator's, and when the stream's with block ends the
+generator's state must equal that of a twin that made the same calls. A
+numpy that draws differently fails here, not by changing training results
+silently."""
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ def twins(seed: int, half_used: bool) -> tuple[np.random.Generator, np.random.Ge
 # one draw of each kind: (stream call, the Generator call it stands for)
 DRAWS = {
     "random": (lambda s, a: s.random(), lambda g, a: g.random()),
-    "uniform": (lambda s, a: s.uniform(-5.0, 5.0), lambda g, a: g.uniform(-5.0, 5.0)),
     "integers": (lambda s, a: s.integers(BOUNDS[a % len(BOUNDS)]),
                  lambda g, a: int(g.integers(0, BOUNDS[a % len(BOUNDS)]))),
     "below": (lambda s, a: s.below(a % 41, 0.3),
@@ -44,11 +44,10 @@ class TestDrawStream:
     @example(seed=0, half_used=True, n=2**31 + 1, count=3)
     def test_single_kind_runs_match(self, seed, half_used, n, count):
         expected_rng, got_rng = twins(seed, half_used)
-        stream = DrawStream(got_rng)
-        got = [(stream.random(), stream.uniform(-5.0, 5.0), stream.integers(n))
-               for _ in range(count)]
-        stream.close()
-        expected = [(expected_rng.random(), expected_rng.uniform(-5.0, 5.0),
+        with DrawStream(got_rng) as stream:
+            got = [(stream.random(), stream.uniforms(-5.0, 5.0, 1), stream.integers(n))
+                   for _ in range(count)]
+        expected = [(expected_rng.random(), expected_rng.uniform(-5.0, 5.0, 1).tolist(),
                      int(expected_rng.integers(0, n))) for _ in range(count)]
         assert got == expected
         assert got_rng.bit_generator.state == expected_rng.bit_generator.state
@@ -60,9 +59,8 @@ class TestDrawStream:
            block=st.integers(1, 8))
     def test_mixed_sequence_outgrowing_the_block(self, seed, half_used, calls, block):
         expected_rng, got_rng = twins(seed, half_used)
-        stream = DrawStream(got_rng, block)
-        got = [DRAWS[kind][0](stream, arg) for kind, arg in calls]
-        stream.close()
+        with DrawStream(got_rng, block) as stream:
+            got = [DRAWS[kind][0](stream, arg) for kind, arg in calls]
         assert got == [DRAWS[kind][1](expected_rng, arg) for kind, arg in calls]
         assert got_rng.bit_generator.state == expected_rng.bit_generator.state
         assert got_rng.random() == expected_rng.random()  # the generator goes on alike
@@ -70,19 +68,18 @@ class TestDrawStream:
     @pytest.mark.parametrize("half_used", [False, True])
     def test_no_draws_leave_the_state_as_it_was(self, half_used):
         expected_rng, got_rng = twins(7, half_used)
-        stream = DrawStream(got_rng)
-        assert stream.integers(1) == 0
-        assert stream.below(0, 0.5) == []
-        stream.close()
+        with DrawStream(got_rng) as stream:
+            assert stream.integers(1) == 0
+            assert stream.below(0, 0.5) == []
         assert got_rng.bit_generator.state == expected_rng.bit_generator.state
 
     @pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 1.0, 1.5, -0.5])
     def test_below_matches_at_every_threshold(self, p):
         expected_rng, got_rng = twins(11, False)
-        stream = DrawStream(got_rng)
-        got = stream.below(500, p)
-        stream.close()
+        with DrawStream(got_rng) as stream:
+            got = stream.below(500, p)
         assert got == (expected_rng.random(500) < p).tolist()
+        assert got_rng.bit_generator.state == expected_rng.bit_generator.state
 
     @pytest.mark.parametrize("half_used", [False, True])
     def test_with_block_closes_the_stream(self, half_used):

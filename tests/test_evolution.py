@@ -499,11 +499,10 @@ class TestOperatorsMatchReference:
         expected_rng = np.random.default_rng(op_seed)
         got_rng = np.random.default_rng(op_seed)
         expected = REFERENCE_OPERATORS[op](net, expected_rng, params)
-        draws = DrawStream(got_rng)
-        child = evolution._Child(net)
-        evolution._OPERATORS[op](child, draws, params)
-        got = child.network()
-        draws.close()
+        with DrawStream(got_rng) as draws:
+            child = evolution._Child(net)
+            evolution._OPERATORS[op](child, draws, params)
+            got = child.network()
 
         assert (got is net) == (expected is net)
         for name in NET_ARRAYS:
@@ -605,9 +604,8 @@ class TestSample:
             expected_rng.integers(0, 2**32, dtype=np.uint32)
             got_rng.integers(0, 2**32, dtype=np.uint32)
         expected = expected_rng.choice(n, size, replace=False).tolist()
-        draws = DrawStream(got_rng)
-        assert evolution._sample(draws, n, size) == expected
-        draws.close()
+        with DrawStream(got_rng) as draws:
+            assert evolution._sample(draws, n, size) == expected
         assert got_rng.bit_generator.state == expected_rng.bit_generator.state
 
 
