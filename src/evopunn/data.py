@@ -400,16 +400,10 @@ def load_dataset(path) -> ProcessedDataset:
     if version != str(DATASET_VERSION):
         raise ValueError(f"{path}: unsupported dataset version {version!r}")
 
-    header: dict[str, str] = {}
-    data_start = None
-    for i, line in enumerate(lines[1:], start=1):
-        if line == "data":
-            data_start = i + 1
-            break
-        key, _, value = line.partition(" ")
-        header[key] = value
-    if data_start is None:
+    if "data" not in lines:
         raise ValueError(f"{path}: missing data section")
+    data_start = lines.index("data")
+    header = dict(line.partition(" ")[::2] for line in lines[1:data_start])
 
     for key in ("k", "L", "N", "classes"):
         if key not in header:
@@ -437,17 +431,10 @@ def load_dataset(path) -> ProcessedDataset:
                 raise ValueError(f"{path}: normalization range {pair!r} is not min:max") from None
         normalization = NormalizationParams(np.asarray(mins), np.asarray(maxs))
 
-    rows = [ln for ln in lines[data_start:] if ln]
+    rows = [ln for ln in lines[data_start + 1:] if ln]
     if len(rows) != n:
         raise ValueError(f"{path}: expected {n} data rows, found {len(rows)}")
-    # rows before the first ragged one are parsed in bulk; a cell among them
-    # that does not parse precedes the ragged row
-    ragged = next((r for r, line in enumerate(rows) if line.count(",") != k), None)
-    patterns, labels = _parse_data_rows(path, rows[:ragged], k)
-    if ragged is not None:
-        raise ValueError(
-            f"{path}: data row {ragged} has {rows[ragged].count(',') + 1} cells, expected {k + 1}"
-        )
+    patterns, labels = _parse_data_rows(path, rows, k)
     try:
         return ProcessedDataset(patterns, labels, feature_names, class_names, normalization)
     except ValueError as exc:
@@ -455,23 +442,28 @@ def load_dataset(path) -> ProcessedDataset:
 
 
 def _parse_data_rows(path, rows: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Patterns (n, k) and labels (n,) of data rows of k + 1 cells each. A
-    cell that does not parse raises ValueError naming the first such row."""
-    try:
-        # row by row, so no list of every cell is held at once
-        values = chain.from_iterable(map(float, line.split(",", k)[:k]) for line in rows)
-        patterns = np.fromiter(values, float, len(rows) * k).reshape(len(rows), k)
-        labels = np.fromiter((int(line.rpartition(",")[2]) for line in rows), np.int64, len(rows))
-    except ValueError:
-        for r, line in enumerate(rows):  # the same parse, row by row, to name the row
-            *values, label = line.split(",")
+    """Patterns (n, k) and labels (n,) in one pass: each row is split once and
+    checked as it is parsed, shape, then k values, then label, so the first bad
+    row raises ValueError naming it. A label past int64 becomes -1, out of range."""
+    labels = []
+
+    def values():
+        for r, line in enumerate(rows):
+            cells = line.split(",")
+            if len(cells) != k + 1:
+                raise ValueError(f"{path}: data row {r} has {len(cells)} cells, expected {k + 1}")
+            label = cells.pop()
             try:
-                list(map(float, values))
+                row = list(map(float, cells))
             except ValueError:
                 raise ValueError(f"{path}: data row {r} has a value that is not a number") from None
             try:
-                int(label)
+                label = int(label)
             except ValueError:
                 raise ValueError(f"{path}: data row {r} label {label!r} is not an integer") from None
-        raise
-    return patterns, labels
+            labels.append(label if abs(label) < 2**63 else -1)
+            yield row
+
+    # with no count fromiter runs the loop to its end, also when k = 0 asks for no value
+    patterns = np.fromiter(chain.from_iterable(values()), float).reshape(len(rows), k)
+    return patterns, np.array(labels, np.int64)

@@ -14,7 +14,7 @@ from .evolution import EaParams, EvalCounter, Individual, run_evolution
 # unused here: perfbench's tracer (tracing.PATCHES) rebinds this name
 from .evolution import initialize_population  # noqa: F401
 from .network import correct_classification_rate
-from .twostage import run_two_stage
+from .twostage import _require_even, run_two_stage
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,8 @@ class ExperimentConfig:
         if self.n_runs < 1:
             raise ValueError("n_runs must be at least 1")
         self.ea_params()  # EaParams checks neu, gen and pop_size
+        if self.method == "tsea":
+            _require_even(self.pop_size)
 
     @property
     def method(self) -> str:

@@ -171,6 +171,16 @@ class TestPipelineVerbs:
         assert_one_line_error(capsys, "preprocess", f"{schema}:1: column name is empty")
         assert not (tmp_path / "p").exists()
 
+    def test_label_past_int64_is_one_line(self, tmp_path, capsys):
+        proc = tmp_path / "proc"
+        proc.mkdir()
+        dat = proc / "processed.dat"
+        dat.write_text("punn-dataset 1\nk 2\nL 2\nN 2\nfeatures a,b\nclasses no,yes\ndata\n"
+                       "1.0,2.0,0\n1.5,1.5,99999999999999999999\n")
+        code = main(["split", "--data", str(proc), "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert_one_line_error(capsys, "split", f"{dat}: label index out of range")
+
 
 class TestEvalsVerb:
     @pytest.mark.parametrize(

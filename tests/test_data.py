@@ -593,8 +593,9 @@ class TestDatasetFile:
         ("1.0,x,0\n1.0,2.0\n2.0,1.25,1\n", "data row 0 has a value that is not a number"),
         ("1.0,2.0,0\n1.0,2.0\n2.0,x,1\n", "data row 1 has 2 cells, expected 3"),
         ("1.0,2.0,x\n1.0,y,0\n2.0,1.25,1\n", "data row 0 label 'x' is not an integer"),
+        ("1.0,2.0,x\n1.0,2.0\n2.0,1.25,1\n", "data row 0 label 'x' is not an integer"),
     ], ids=["short", "long", "bad-cell-before-ragged", "ragged-before-bad-cell",
-            "bad-label-before-bad-cell"])
+            "bad-label-before-bad-cell", "bad-label-before-ragged"])
     def test_first_bad_row_in_file_order(self, tmp_path, rows, message):
         path = write(tmp_path, "bad.dat", self.DAT_HEADER + rows)
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
@@ -646,15 +647,26 @@ class TestDatasetFile:
         ("1.0,1.5,1.5", "data row 1 label '1.5' is not an integer"),
         ("1.0,1.5,yes", "data row 1 label 'yes' is not an integer"),
         ("1.0,1.5,", "data row 1 label '' is not an integer"),
+        ("1.0,x,y", "data row 1 has a value that is not a number"),
     ], ids=["letter", "empty-cell", "hex", "hash", "trailing-hash", "fractional-label",
-            "named-label", "empty-label"])
+            "named-label", "empty-label", "bad-value-and-label"])
     def test_rejects_a_cell_that_does_not_parse(self, tmp_path, row, message):
         path = write(tmp_path, "bad.dat", self.DAT_HEADER + f"1.0,2.0,0\n{row}\n2.0,1.25,1\n")
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_dataset(path)
 
-    def test_rejects_a_label_outside_the_classes(self, tmp_path):
-        path = write(tmp_path, "bad.dat", self.DAT_HEADER + "1.0,2.0,0\n1.5,1.5,2\n2.0,1.25,1\n")
+    def test_checks_every_label_of_a_file_without_features(self, tmp_path):
+        header = "punn-dataset 1\nk 0\nL 2\nN 2\nclasses no,yes\ndata\n"
+        path = write(tmp_path, "bad.dat", header + "0\nx\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: data row 1 label')}"):
+            load_dataset(path)
+        assert load_dataset(write(tmp_path, "ok.dat", header + "0\n1\n")).labels.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("label", ["2", "99999999999999999999", "-99999999999999999999"],
+                             ids=["L", "past-int64", "below-int64"])
+    def test_rejects_a_label_outside_the_classes(self, tmp_path, label):
+        rows = f"1.0,2.0,0\n1.5,1.5,{label}\n2.0,1.25,1\n"
+        path = write(tmp_path, "bad.dat", self.DAT_HEADER + rows)
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: label index out of range')}$"):
             load_dataset(path)
 

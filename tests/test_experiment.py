@@ -113,6 +113,13 @@ class TestConfigurations:
         with pytest.raises(ValueError, match=f"^{message}$"):
             replace(config, **changes)
 
+    def test_two_stage_rejects_an_odd_population_when_built(self):
+        assert make_config("1", preset="balance", pop_size=3).pop_size == 3
+        for config_id in ("1star", "2star"):
+            with pytest.raises(ValueError, match=r"^pop_size must be even \(the merge takes "
+                                                 r"half of each population\)$"):
+                make_config(config_id, preset="balance", pop_size=3)
+
     def test_is_frozen(self):
         config = make_config("1", neu=2, gen=4, pop_size=10)
         with pytest.raises(FrozenInstanceError):
