@@ -383,7 +383,7 @@ def save_dataset(dataset: ProcessedDataset, path) -> None:
         )
         lines.append("normalization " + ranges)
     lines.append("data")
-    lines += [",".join(map(repr, row)) + f",{label}"
+    lines += [",".join([*map(repr, row), str(label)])
               for row, label in zip(dataset.patterns.tolist(), dataset.labels.tolist())]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

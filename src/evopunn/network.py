@@ -331,9 +331,11 @@ def _finite(value, what: str) -> float:
     return number
 
 
-def _links(links, where: str) -> list[tuple[int, float]]:
-    """The (index, weight) pairs of a node's or an output's link list;
-    ValueError naming where when the list or an entry has the wrong shape."""
+def _link_row(links, weights: np.ndarray, mask: np.ndarray, what: str, where: str) -> None:
+    """Place a node's or an output's [index, weight] link list in its weight
+    and mask rows. Every entry's shape, index type and weight is checked
+    before any is placed, then each index as it is placed: ValueError names
+    where, and the what index that is out of range or listed twice."""
     pairs = []
     for entry in _list(links, f"{where}: links"):
         if not (isinstance(entry, list) and len(entry) == 2):
@@ -342,7 +344,13 @@ def _links(links, where: str) -> list[tuple[int, float]]:
         if type(index) is not int:
             raise ValueError(f"{where}: link index {index!r} is not an integer")
         pairs.append((index, _finite(weight, f"{where}: link weight")))
-    return pairs
+    for i, w in pairs:
+        if not 0 <= i < mask.size:
+            raise ValueError(f"{where}: {what} index {i} out of range")
+        if mask[i]:
+            raise ValueError(f"{where}: {what} index {i} listed twice")
+        weights[i] = w
+        mask[i] = True
 
 
 def network_from_document(doc: dict) -> PunnNetwork:
@@ -363,13 +371,7 @@ def network_from_document(doc: dict) -> PunnNetwork:
     exponents = np.zeros((m, k))
     exponent_mask = np.zeros((m, k), dtype=bool)
     for j, links in enumerate(nodes):
-        for i, w in _links(links, f"hidden node {j}"):
-            if not 0 <= i < k:
-                raise ValueError(f"hidden node {j}: input index {i} out of range")
-            if exponent_mask[j, i]:
-                raise ValueError(f"hidden node {j}: input index {i} listed twice")
-            exponents[j, i] = w
-            exponent_mask[j, i] = True
+        _link_row(links, exponents[j], exponent_mask[j], "input", f"hidden node {j}")
     coefficients = np.zeros((outputs, m))
     coefficient_mask = np.zeros((outputs, m), dtype=bool)
     biases = np.zeros(outputs)
@@ -378,13 +380,8 @@ def network_from_document(doc: dict) -> PunnNetwork:
         raise ValueError("output node count disagrees with class count")
     for l, out in enumerate(output_docs):
         biases[l] = _finite(_field(out, "bias", f"output {l}"), f"output {l}: bias")
-        for j, c in _links(_field(out, "links", f"output {l}"), f"output {l}"):
-            if not 0 <= j < m:
-                raise ValueError(f"output {l}: hidden index {j} out of range")
-            if coefficient_mask[l, j]:
-                raise ValueError(f"output {l}: hidden index {j} listed twice")
-            coefficients[l, j] = c
-            coefficient_mask[l, j] = True
+        _link_row(_field(out, "links", f"output {l}"), coefficients[l], coefficient_mask[l],
+                  "hidden", f"output {l}")
     return PunnNetwork(exponents, exponent_mask, coefficients, coefficient_mask, biases)
 
 

@@ -96,6 +96,18 @@ class TestPipelineVerbs:
         out = capsys.readouterr().out
         assert "625 patterns" in out and "4 inputs" in out and "3 classes" in out
 
+    def test_dataset_without_features_preprocesses_and_splits(self, tmp_path, capsys):
+        schema = tmp_path / "s"
+        schema.write_text("c,class\n")
+        data = tmp_path / "d.csv"
+        data.write_text("c\nno\nyes\nyes\nno\n")
+        proc = tmp_path / "p"
+        assert main(["preprocess", "--data", str(data), "--schema", str(schema),
+                     "--out", str(proc)]) == 0
+        assert main(["split", "--data", str(proc), "--out", str(proc)]) == 0
+        assert "0 inputs" in capsys.readouterr().out
+        assert load_dataset(proc / "train.dat").input_count == 0
+
     @pytest.mark.parametrize("n", [0, -3])
     def test_waveform_without_rows_is_one_line(self, tmp_path, capsys, n):
         out = tmp_path / "raw"

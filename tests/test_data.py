@@ -528,6 +528,19 @@ class TestDatasetFile:
         assert np.array_equal(ds.normalization.mins, loaded.normalization.mins)
         assert np.array_equal(ds.normalization.maxs, loaded.normalization.maxs)
 
+    def test_round_trip_without_features(self, tmp_path):
+        # a schema holding only the class column preprocesses to k = 0, and
+        # each saved row is then its label alone
+        schema = write(tmp_path, "s", "c,class\n")
+        data = write(tmp_path, "d.csv", "c\nno\nyes\nyes\nno\n")
+        ds = preprocess_file(data, schema)
+        path = tmp_path / "out.dat"
+        save_dataset(ds, path)
+        loaded = load_dataset(path)
+        assert loaded.patterns.shape == (4, 0)
+        assert loaded.labels.tolist() == ds.labels.tolist()
+        assert loaded.class_names == ds.class_names
+
     def test_saved_text_is_pinned(self, tmp_path):
         values = [0.1, 1 / 3, 1e-300, 5e-324, 2.0]
         ds = ProcessedDataset(

@@ -482,6 +482,9 @@ class TestSerialization:
         ([[True, 1.0]], "link index True is not an integer"),
         ([[0, None]], "link weight None is not a number"),
         ([[0, "1.5"]], "link weight '1.5' is not a number"),
+        # every entry is checked before any is placed, so a malformed entry
+        # is reported ahead of an earlier index that is out of range
+        ([[99, 1.0], [0]], r"link \[0\] is not an \[index, weight\] pair"),
     ])
     def test_malformed_links_name_their_node_or_output(self, rng, links, message):
         net = random_network(rng, 3, 2, 3)
@@ -519,12 +522,14 @@ class TestSerialization:
     ])
     def test_bias_and_link_weight_must_be_finite_numbers(self, rng, text, shown, problem):
         net = random_network(rng, 3, 2, 3)
-        bias, node, output = (network_document(net) for _ in range(3))
+        bias, node, output, bias_first = (network_document(net) for _ in range(4))
         bias["outputs"][1]["bias"] = "@"
         node["hidden_nodes"][0] = [[0, "@"]]
         output["outputs"][0]["links"] = [[0, "@"]]
+        # an output's bias is read before its links, whose index is out of range here
+        bias_first["outputs"][1].update(bias="@", links=[[99, 1.0]])
         for doc, where in ((bias, "output 1: bias"), (node, "hidden node 0: link weight"),
-                           (output, "output 0: link weight")):
+                           (output, "output 0: link weight"), (bias_first, "output 1: bias")):
             message = f"{where} {shown} {problem}"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 deserialize_network(json.dumps(doc).replace('"@"', text))
