@@ -65,12 +65,17 @@ def quartiles(values: list[float]) -> tuple[float, float]:
 
 
 def numpy_versions() -> dict:
-    """numpy's and its BLAS's versions, read in a child interpreter."""
-    code = ("import json, numpy; c = numpy.show_config(mode='dicts'); "
+    """numpy's and its BLAS's versions, and the OpenBLAS core numpy loaded, on
+    which fitness bits depend (tests/make_fingerprints.blas_core), read in a
+    child interpreter."""
+    code = ("import json, sys, numpy; sys.path[:0] = sys.argv[1:]; "
+            "from make_fingerprints import blas_core; "
+            "c = numpy.show_config(mode='dicts'); "
             "b = c['Build Dependencies']['blas']; "
             "print(json.dumps({'numpy': numpy.__version__, 'blas': b.get('name'), "
-            "'blas_version': b.get('version')}))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+            "'blas_version': b.get('version'), 'blas_core': blas_core()}))")
+    out = subprocess.run([sys.executable, "-c", code, str(ROOT / "tests"), str(ROOT / "src")],
+                         capture_output=True, text=True)
     return json.loads(out.stdout) if out.returncode == 0 else {"error": out.stderr.strip()}
 
 

@@ -2,7 +2,8 @@
 
 Verbs: gendata (write a built-in benchmark as CSV + schema), preprocess,
 split, train, experiment, evals, predict. All state flows through flags and
-files; no environment variables are consulted.
+files; no environment variables are consulted. Only the verbs that train
+import the engine, so gendata, preprocess and split never load it.
 """
 
 from __future__ import annotations
@@ -15,23 +16,6 @@ from pathlib import Path
 
 from . import datasets
 from .data import load_dataset, preprocess_file, save_dataset, stratified_holdout
-from .evolution import population_mean_fitness
-from .experiment import (
-    CONFIGURATIONS,
-    PRESETS,
-    make_config,
-    run_experiment,
-    run_single,
-    summarize,
-    write_report,
-)
-from .network import (
-    correct_classification_rate,
-    deserialize_network,
-    predict_classes,
-    serialize_network,
-)
-from .twostage import expected_evaluations, final_hidden_cap
 
 
 def _add_gendata(sub):
@@ -62,8 +46,8 @@ def _add_split(sub):
 
 def _add_train(sub):
     p = sub.add_parser("train", allow_abbrev=False, help="single seeded training run")
-    p.add_argument("--config", required=True, choices=sorted(CONFIGURATIONS))
-    p.add_argument("--preset", choices=sorted(PRESETS))
+    p.add_argument("--config", required=True, choices=sorted(datasets.CONFIGURATIONS))
+    p.add_argument("--preset", choices=sorted(datasets.PRESETS))
     p.add_argument("--neu", type=int, help="hidden-node base count (overrides preset)")
     p.add_argument("--gen", type=int, help="generation budget (overrides preset)")
     p.add_argument("--train", required=True, help="training set (.dat)")
@@ -77,8 +61,8 @@ def _add_train(sub):
 def _add_experiment(sub):
     p = sub.add_parser("experiment", allow_abbrev=False,
                        help="repeated seeded runs with a summary report")
-    p.add_argument("--preset", required=True, choices=sorted(PRESETS))
-    p.add_argument("--config", required=True, choices=sorted(CONFIGURATIONS))
+    p.add_argument("--preset", required=True, choices=sorted(datasets.PRESETS))
+    p.add_argument("--config", required=True, choices=sorted(datasets.CONFIGURATIONS))
     p.add_argument("--runs", type=int, default=30)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="report CSV path")
@@ -157,6 +141,9 @@ def _trace_writer(fh, train):
     """Per-generation trace: index, best fitness, mean fitness, best training
     accuracy, evaluations so far, stage label; tab-separated, one line per
     generation."""
+    from .evolution import population_mean_fitness
+    from .network import correct_classification_rate
+
     line_numbers = itertools.count(1)
 
     def on_generation(stage, gen_index, population, counter):
@@ -171,11 +158,23 @@ def _trace_writer(fh, train):
     return on_generation
 
 
+def _require_directory(path, flag: str) -> None:
+    """Refuse, before any run, an output path whose directory is missing."""
+    directory = Path(path).parent
+    if not directory.is_dir():
+        raise ValueError(f"{flag} {path}: directory {directory} does not exist")
+
+
 def _cmd_train(args) -> int:
+    from .experiment import make_config, run_single
+    from .network import serialize_network
+    from .twostage import final_hidden_cap
+
     config = make_config(
         args.config, preset=args.preset, neu=args.neu, gen=args.gen,
         n_runs=1, master_seed=args.seed, pop_size=args.pop_size,
     )
+    _require_directory(args.model_out, "--model-out")
     train = load_dataset(args.train)
     test = load_dataset(args.test)
 
@@ -201,10 +200,13 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from .experiment import make_config, run_experiment, summarize, write_report
+
     config = make_config(
         args.config, preset=args.preset, n_runs=args.runs,
         master_seed=args.seed, pop_size=args.pop_size,
     )
+    _require_directory(args.out, "--out")
     train_path = args.train or Path("data") / args.preset / "train.dat"
     test_path = args.test or Path("data") / args.preset / "test.dat"
     train = load_dataset(train_path)
@@ -221,6 +223,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_evals(args) -> int:
+    from .twostage import expected_evaluations
+
     counts = expected_evaluations(args.pop, args.gen)
     print("tsea\tedd\treduction_percent")
     print(f"{counts['tsea']}\t{counts['edd_pair']}\t{counts['reduction_percent']}")
@@ -243,6 +247,8 @@ def _check_names(doc, dataset) -> None:
 
 
 def _cmd_predict(args) -> int:
+    from .network import deserialize_network, predict_classes
+
     net, doc = deserialize_network(Path(args.model).read_text(encoding="utf-8"))
     dataset = load_dataset(args.data)
     names = doc.get("class_names")

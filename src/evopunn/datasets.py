@@ -1,4 +1,4 @@
-"""Built-in benchmark data generators.
+"""Built-in benchmark data generators, and the two tables of the experiment grid.
 
 Balance Scale is a closed-form enumeration and is reconstructed exactly:
 all 625 combinations of four attributes in 1..5, labelled by comparing the
@@ -7,6 +7,10 @@ three-base-wave generator (21 informative positions from convex combinations
 of triangular waves plus unit Gaussian noise, and 19 pure-noise positions);
 rows are drawn fresh from the generator, so they match the published file in
 distribution, not row for row.
+
+PRESETS and CONFIGURATIONS, the paper's experiment grid, live here because
+this module imports no training code: the command line builds its parser
+from them without loading the engine.
 """
 
 from __future__ import annotations
@@ -95,4 +99,30 @@ def write_waveform(out_dir, n: int = 5000, seed: int = 1) -> tuple[Path, Path]:
 GENERATORS = {
     "balance": write_balance_scale,
     "waveform": write_waveform,
+}
+
+# data set -> (hidden-node base count neu, generations), the paper's budgets
+PRESETS: dict[str, tuple[int, int]] = {
+    "australian": (4, 100),
+    "balance": (5, 150),
+    "cancer": (2, 100),
+    "heart": (3, 300),
+    "hepatitis": (3, 100),
+    "horse": (4, 300),
+    "hypothyroid": (3, 500),
+    "ionos": (4, 500),
+    "liver": (4, 300),
+    "newthyroid": (3, 300),
+    "pima": (3, 120),
+    "waveform": (3, 500),
+}
+
+# configuration id -> (method, hidden-node offset, coefficient-noise scale)
+CONFIGURATIONS: dict[str, tuple[str, int, float]] = {
+    "1": ("edd", 0, 1.0),
+    "2": ("edd", 1, 1.0),
+    "3": ("edd", 0, 1.5),
+    "4": ("edd", 1, 1.5),
+    "1star": ("tsea", 0, 1.0),
+    "2star": ("tsea", 0, 1.5),
 }

@@ -1,5 +1,5 @@
-"""Experiment orchestration: benchmark presets, repeated seeded runs,
-summary statistics and report files."""
+"""Experiment orchestration: a cell of the grid in datasets.PRESETS and
+CONFIGURATIONS, repeated seeded runs, summary statistics and report files."""
 
 from __future__ import annotations
 
@@ -10,48 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import CONFIGURATIONS, PRESETS
 from .evolution import EaParams, EvalCounter, Individual, run_evolution
 # unused here: perfbench's tracer (tracing.PATCHES) rebinds this name
 from .evolution import initialize_population  # noqa: F401
 from .network import correct_classification_rate
 from .twostage import _require_even, run_two_stage
-
-
-@dataclass(frozen=True)
-class DatasetPreset:
-    """Per-dataset training budget: hidden-node base count and generations."""
-    hidden_nodes: int
-    generations: int
-    available: bool = True
-    note: str = ""
-
-
-PRESETS: dict[str, DatasetPreset] = {
-    "australian": DatasetPreset(4, 100),
-    "balance": DatasetPreset(5, 150),
-    "cancer": DatasetPreset(2, 100),
-    "heart": DatasetPreset(3, 300),
-    "hepatitis": DatasetPreset(3, 100),
-    "horse": DatasetPreset(4, 300),
-    "hypothyroid": DatasetPreset(3, 500),
-    "ionos": DatasetPreset(4, 500),
-    "liver": DatasetPreset(4, 300),
-    "newthyroid": DatasetPreset(3, 300),
-    "pima": DatasetPreset(3, 120),
-    "waveform": DatasetPreset(3, 500),
-    "btx": DatasetPreset(5, 500, available=False, note="proprietary data, no public source"),
-    "listeria": DatasetPreset(4, 300, available=False, note="proprietary data, no public source"),
-}
-
-# configuration id -> (method, hidden-node offset, coefficient-noise scale)
-CONFIGURATIONS: dict[str, tuple[str, int, float]] = {
-    "1": ("edd", 0, 1.0),
-    "2": ("edd", 1, 1.0),
-    "3": ("edd", 0, 1.5),
-    "4": ("edd", 1, 1.5),
-    "1star": ("tsea", 0, 1.0),
-    "2star": ("tsea", 0, 1.5),
-}
 
 
 @dataclass(frozen=True)
@@ -100,11 +64,9 @@ def make_config(
     if preset is not None:
         if preset not in PRESETS:
             raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
-        ps = PRESETS[preset]
-        if not ps.available:
-            raise ValueError(f"preset {preset!r} is disabled: {ps.note}")
-        neu = ps.hidden_nodes if neu is None else neu
-        gen = ps.generations if gen is None else gen
+        preset_neu, preset_gen = PRESETS[preset]
+        neu = preset_neu if neu is None else neu
+        gen = preset_gen if gen is None else gen
     if neu is None or gen is None:
         raise ValueError("either a preset or explicit neu and gen values are required")
     return ExperimentConfig(config_id=config_id, neu=neu, gen=gen, pop_size=pop_size,

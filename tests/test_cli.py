@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from evopunn import cli
+from evopunn import cli, experiment
 from evopunn.cli import main
 from evopunn.data import load_dataset
 from evopunn.evolution import EvalCounter, Individual
@@ -282,7 +282,7 @@ class TestTrainAndPredict:
             on_generation("run", 0, population, EvalCounter(12))
             raise ValueError("the run failed")
 
-        monkeypatch.setattr(cli, "run_single", failing_run)
+        monkeypatch.setattr(experiment, "run_single", failing_run)
         model = tmp_path / "model.json"
         trace = tmp_path / "trace.tsv"
         code = main([
@@ -296,6 +296,26 @@ class TestTrainAndPredict:
         assert not model.exists()
         ccr = correct_classification_rate(net, load_dataset(balance_splits / "train.dat"))
         assert trace.read_text(encoding="utf-8") == f"1\t0.75\t0.5\t{ccr:.2f}\t12\trun\n"
+
+    def test_missing_model_directory_fails_before_the_run(self, balance_splits, tmp_path,
+                                                          capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiment, "run_single", lambda *args, **kw: calls.append(args))
+        model = tmp_path / "nodir" / "model.json"
+        trace = tmp_path / "trace.tsv"
+        capsys.readouterr()
+        code = main([
+            "train", "--config", "1", "--neu", "2", "--gen", "5", "--pop-size", "10",
+            "--train", str(balance_splits / "train.dat"),
+            "--test", str(balance_splits / "test.dat"),
+            "--seed", "1", "--model-out", str(model), "--trace", str(trace),
+        ])
+        assert code == 2
+        assert_one_line_error(
+            capsys, "train", f"--model-out {model}: directory {model.parent} does not exist"
+        )
+        assert calls == []
+        assert not trace.exists() and not model.parent.exists()
 
     def test_two_stage_train_and_predict(self, balance_splits, tmp_path, capsys):
         model = tmp_path / "model.json"
@@ -478,18 +498,6 @@ class TestExperimentVerb:
         out = capsys.readouterr().out
         assert "balance config 1" in out
 
-    def test_disabled_preset_is_one_line(self, tmp_path, capsys):
-        report = tmp_path / "report.csv"
-        code = main([
-            "experiment", "--config", "1", "--preset", "btx",
-            "--seed", "1", "--out", str(report),
-        ])
-        assert code == 2
-        assert_one_line_error(
-            capsys, "experiment", "preset 'btx' is disabled: proprietary data, no public source"
-        )
-        assert not report.exists()
-
     def test_missing_train_set_is_one_line(self, balance_splits, tmp_path, capsys):
         train = tmp_path / "absent" / "train.dat"
         report = tmp_path / "report.csv"
@@ -504,3 +512,22 @@ class TestExperimentVerb:
             capsys, "experiment", f"[Errno 2] No such file or directory: '{train}'"
         )
         assert not report.exists()
+
+    def test_missing_report_directory_fails_before_the_runs(self, balance_splits, tmp_path,
+                                                            capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiment, "run_experiment", lambda *args, **kw: calls.append(args))
+        report = tmp_path / "nodir" / "report.csv"
+        capsys.readouterr()
+        code = main([
+            "experiment", "--preset", "balance", "--config", "1", "--runs", "2",
+            "--seed", "1", "--out", str(report), "--pop-size", "10",
+            "--train", str(balance_splits / "train.dat"),
+            "--test", str(balance_splits / "test.dat"),
+        ])
+        assert code == 2
+        assert_one_line_error(
+            capsys, "experiment", f"--out {report}: directory {report.parent} does not exist"
+        )
+        assert calls == []
+        assert not report.parent.exists()

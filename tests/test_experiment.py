@@ -12,10 +12,8 @@ import pytest
 
 import evopunn
 from evopunn.data import ProcessedDataset, fit_apply_normalization
-from evopunn.datasets import waveform_rows
+from evopunn.datasets import CONFIGURATIONS, PRESETS, waveform_rows
 from evopunn.experiment import (
-    CONFIGURATIONS,
-    PRESETS,
     ExperimentConfig,
     RunRecord,
     make_config,
@@ -44,16 +42,7 @@ PUBLISHED_BUDGETS = {
 
 class TestPresets:
     def test_budgets_match_published_table(self):
-        for name, (neu, gen) in PUBLISHED_BUDGETS.items():
-            preset = PRESETS[name]
-            assert (preset.hidden_nodes, preset.generations) == (neu, gen), name
-            assert preset.available
-
-    def test_proprietary_presets_disabled(self):
-        for name in ("btx", "listeria"):
-            assert not PRESETS[name].available
-            with pytest.raises(ValueError, match="disabled"):
-                make_config("1", preset=name)
+        assert PRESETS == PUBLISHED_BUDGETS
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown preset"):

@@ -33,6 +33,26 @@ def test_data_layer_import_leaves_the_engine_unloaded():
     assert run_fresh(code) == "['evopunn']\n[]\n"
 
 
+def test_data_verbs_leave_the_engine_unloaded(tmp_path):
+    code = f"""
+import os, sys
+os.chdir({str(tmp_path)!r})
+import evopunn.cli as cli
+cli.build_parser()
+print(sorted(m for m in sys.modules if 'evopunn' in m))
+codes = [cli.main(['gendata', '--preset', 'balance', '--out', 'raw']),
+         cli.main(['preprocess', '--data', 'raw/balance.csv',
+                   '--schema', 'raw/balance.schema', '--out', 'proc']),
+         cli.main(['split', '--data', 'proc', '--out', 'proc'])]
+loaded = sorted(m for m in sys.modules if m in {ENGINE!r})
+codes.append(cli.main(['evals', '--gen', '10', '--pop', '10']))
+print(loaded, codes)
+"""
+    lines = run_fresh(code).splitlines()
+    assert lines[0] == "['evopunn', 'evopunn.cli', 'evopunn.data', 'evopunn.datasets']"
+    assert lines[-1] == "[] [0, 0, 0, 0]"
+
+
 def test_bare_import_resolves_a_submodule_on_first_use():
     code = ("import sys, evopunn; net = evopunn.network; "
             "print(net is sys.modules['evopunn.network'], 'network' in vars(evopunn))")
